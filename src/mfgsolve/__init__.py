@@ -14,9 +14,11 @@ from .core import (
     tv_distance,
 )
 from .dp import (
+    FlowTables,
     QTable,
     boltzmann_policy,
     contractivity_threshold,
+    flow_tables,
     greedy_policy,
     induced_mean_field,
     objective_value,
@@ -65,6 +67,8 @@ __all__ = [
     "meanfield_distance",
     "mix",
     "QTable",
+    "FlowTables",
+    "flow_tables",
     "optimal_q",
     "soft_q",
     "policy_q",

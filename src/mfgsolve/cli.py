@@ -24,8 +24,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .core import Policy
-from .envs import BUILTIN_FACTORIES, load_custom_env, make_taxi
+from .core import Policy, as_distribution
+from .envs import BUILTIN_FACTORIES, EnvironmentSpec, load_custom_env, make_taxi
 from .errors import ConfigError
 from .rl.dqn import DqnHyperparams
 from .rl.loop import boltzmann_dqn_iteration, check_value_fitting_mode
@@ -132,6 +132,11 @@ def validate_config(cfg: dict) -> list[str]:
         problems.append("env 'taxi' is only solvable with solver 'boltzmann_dqn'")
     if cfg.get("taxi_map") and not os.path.exists(cfg["taxi_map"]):
         problems.append(f"taxi map file not found: {cfg['taxi_map']}")
+    if not problems and prior != "uniform":
+        try:
+            _load_prior(cfg, _build_env(cfg))
+        except ConfigError as exc:
+            problems.append(str(exc))
     return problems
 
 
@@ -147,13 +152,36 @@ def _build_env(cfg: dict):
     return BUILTIN_FACTORIES[env]()
 
 
-def _load_prior(cfg: dict, env) -> Policy | None:
+def _load_prior(cfg: dict, env) -> Policy | np.ndarray | None:
+    """The configured prior, or None for uniform.
+
+    A tabular game takes a (T, S, A) policy, a sampled one (taxi) a single
+    action distribution; a file that does not fit is a ConfigError.
+    """
     prior = cfg.get("prior", "uniform")
     if prior == "uniform":
         return None
     path = prior.split(":", 1)[1]
-    arr = np.load(path) if path.endswith(".npy") else np.asarray(json.load(open(path)))
-    return Policy(arr)
+    try:
+        if path.endswith(".npy"):
+            arr = np.load(path)
+        else:
+            with open(path) as f:
+                arr = np.asarray(json.load(f), dtype=np.float64)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read prior file {path}: {exc}") from exc
+    tabular = isinstance(env, EnvironmentSpec)
+    shape = (
+        (env.horizon, env.num_states, env.num_actions) if tabular else (env.num_actions,)
+    )
+    if arr.shape != shape:
+        raise ConfigError(
+            f"prior in {path} has shape {arr.shape}, env {env.name!r} needs {shape}"
+        )
+    try:
+        return Policy(arr) if tabular else as_distribution(arr, what="prior")
+    except ValueError as exc:
+        raise ConfigError(f"prior in {path}: {exc}") from exc
 
 
 def run_cell(cfg: dict, eta: float | None, seed: int) -> IterationLog:

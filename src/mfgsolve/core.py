@@ -132,12 +132,17 @@ def policy_distance(pi: Policy, pi2: Policy) -> float:
     return 0.5 * float(np.abs(a - b).sum(axis=-1).max())
 
 
-def meanfield_distance(mu: MeanField, mu2: MeanField) -> float:
-    """Sup metric over time of the total variation between state rows."""
-    a, b = mu.per_time, mu2.per_time
+def flow_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Sup metric over time of the total variation between the state rows of
+    two (T, S) flow arrays."""
     if a.shape != b.shape:
         raise DimensionError(f"mean field shape mismatch {a.shape} vs {b.shape}")
     return 0.5 * float(np.abs(a - b).sum(axis=-1).max())
+
+
+def meanfield_distance(mu: MeanField, mu2: MeanField) -> float:
+    """``flow_distance`` between two mean fields."""
+    return flow_distance(mu.per_time, mu2.per_time)
 
 
 def mix(a, b, lam: float):

@@ -7,6 +7,11 @@ softmax-with-prior policy construction, the forward state-distribution
 recursion, objective values, and the temperature threshold above which the
 regularized fixed-point map is a contraction.  Environments whose table would
 exceed ``MAX_TABLE_CELLS`` are refused; use the particle/DQN path for those.
+
+A flow's MDP is its rewards and kernels at every time step, ``FlowTables``.
+Each recursion over a frozen flow builds them with ``flow_tables`` unless the
+caller passes them in, so several recursions on one flow (a best response
+and a policy evaluation, say) build them once.
 """
 
 from __future__ import annotations
@@ -74,20 +79,57 @@ def _check_pi(env: EnvironmentSpec, pi: Policy) -> None:
         )
 
 
-def optimal_q(env: EnvironmentSpec, mu: MeanField) -> QTable:
-    """Backward induction for the optimal action values under a frozen flow.
+@dataclass(frozen=True)
+class FlowTables:
+    """The MDP a frozen flow induces: ``rewards[t]`` is ``R[s, a]`` and
+    ``kernels[t]`` is ``P[s, a, s']`` at ``mu.at(t)``.  The last time step
+    has a reward but no kernel, since nothing follows it."""
 
-    The last time slice equals the reward slice; earlier slices add the
-    transition-weighted hard maximum of the next slice.
-    """
+    mu: MeanField
+    rewards: tuple[np.ndarray, ...]
+    kernels: tuple[np.ndarray, ...]
+
+
+def flow_tables(env: EnvironmentSpec, mu: MeanField) -> FlowTables:
+    """Build the flow's rewards and kernels, one table call per time step."""
     check_tabular(env)
     _check_mu(env, mu)
     T = env.horizon
+    return FlowTables(
+        mu=mu,
+        rewards=tuple(env.reward_table(mu.at(t)) for t in range(T)),
+        kernels=tuple(env.transition_table(mu.at(t)) for t in range(T - 1)),
+    )
+
+
+def _tables_of(
+    env: EnvironmentSpec, mu: MeanField, tables: FlowTables | None
+) -> FlowTables:
+    if tables is None:
+        return flow_tables(env, mu)
+    if tables.mu is not mu:
+        raise ValueError("tables were built for a different mean field")
+    return tables
+
+
+def optimal_q(
+    env: EnvironmentSpec, mu: MeanField, tables: FlowTables | None = None
+) -> QTable:
+    """Backward induction for the optimal action values under a frozen flow.
+
+    The last time slice equals the reward slice; earlier slices add the
+    transition-weighted hard maximum of the next slice.  ``tables``, if
+    given, must be ``flow_tables(env, mu)`` for this very ``mu``.
+    """
+    check_tabular(env)
+    _check_mu(env, mu)
+    tabs = _tables_of(env, mu, tables)
+    T = env.horizon
     q = np.empty((T, env.num_states, env.num_actions))
-    q[T - 1] = env.reward_table(mu.at(T - 1))
+    q[T - 1] = tabs.rewards[T - 1]
     for t in range(T - 2, -1, -1):
         v_next = q[t + 1].max(axis=1)
-        q[t] = env.reward_table(mu.at(t)) + env.transition_table(mu.at(t)) @ v_next
+        q[t] = tabs.rewards[t] + tabs.kernels[t] @ v_next
     return QTable(q, kind="optimal")
 
 
@@ -98,44 +140,53 @@ def soft_value(q_row: np.ndarray, eta: float, prior_row: np.ndarray) -> float:
 
 
 def soft_q(
-    env: EnvironmentSpec, mu: MeanField, eta: float, prior: Policy
+    env: EnvironmentSpec,
+    mu: MeanField,
+    eta: float,
+    prior: Policy,
+    tables: FlowTables | None = None,
 ) -> QTable:
     """Entropy-regularized backward induction (smooth maximum with prior).
 
     The per-state smooth maximum of the next slice is computed shift-stably,
     so tiny temperatures degrade gracefully toward the hard maximum instead
-    of overflowing.
+    of overflowing.  ``tables`` as in ``optimal_q``.
     """
     check_tabular(env)
     _check_mu(env, mu)
     _check_pi(env, prior)
     prior.require_positive()
     eta = check_temperature(eta)
+    tabs = _tables_of(env, mu, tables)
     T = env.horizon
     qp = prior.per_time_state
     q = np.empty((T, env.num_states, env.num_actions))
-    q[T - 1] = env.reward_table(mu.at(T - 1))
+    q[T - 1] = tabs.rewards[T - 1]
     for t in range(T - 2, -1, -1):
         m = q[t + 1].max(axis=1, keepdims=True)
         v_next = (
             m[:, 0]
             + eta * np.log(np.sum(qp[t + 1] * np.exp((q[t + 1] - m) / eta), axis=1))
         )
-        q[t] = env.reward_table(mu.at(t)) + env.transition_table(mu.at(t)) @ v_next
+        q[t] = tabs.rewards[t] + tabs.kernels[t] @ v_next
     return QTable(q, kind="soft")
 
 
-def policy_q(env: EnvironmentSpec, mu: MeanField, pi: Policy) -> QTable:
-    """Policy-evaluation table: bootstraps with the policy-weighted next slice."""
+def policy_q(
+    env: EnvironmentSpec, mu: MeanField, pi: Policy, tables: FlowTables | None = None
+) -> QTable:
+    """Policy-evaluation table: bootstraps with the policy-weighted next slice.
+    ``tables`` as in ``optimal_q``."""
     check_tabular(env)
     _check_mu(env, mu)
     _check_pi(env, pi)
+    tabs = _tables_of(env, mu, tables)
     T = env.horizon
     q = np.empty((T, env.num_states, env.num_actions))
-    q[T - 1] = env.reward_table(mu.at(T - 1))
+    q[T - 1] = tabs.rewards[T - 1]
     for t in range(T - 2, -1, -1):
         v_next = np.sum(pi.per_time_state[t + 1] * q[t + 1], axis=1)
-        q[t] = env.reward_table(mu.at(t)) + env.transition_table(mu.at(t)) @ v_next
+        q[t] = tabs.rewards[t] + tabs.kernels[t] @ v_next
     return QTable(q, kind="policy")
 
 
@@ -193,9 +244,12 @@ def induced_mean_field(env: EnvironmentSpec, pi: Policy) -> MeanField:
     return MeanField(mu)
 
 
-def objective_value(env: EnvironmentSpec, mu: MeanField, pi: Policy) -> float:
-    """Expected total reward of the policy in the frozen-flow MDP."""
-    qpi = policy_q(env, mu, pi)
+def objective_value(
+    env: EnvironmentSpec, mu: MeanField, pi: Policy, tables: FlowTables | None = None
+) -> float:
+    """Expected total reward of the policy in the frozen-flow MDP.
+    ``tables`` as in ``optimal_q``."""
+    qpi = policy_q(env, mu, pi, tables=tables)
     first = np.sum(pi.per_time_state[0] * qpi.values[0], axis=1)
     return float(env.initial_dist @ first)
 
@@ -215,16 +269,17 @@ def regularized_objective(
     _check_pi(env, prior)
     prior.require_positive()
     eta = check_temperature(eta)
+    tabs = flow_tables(env, mu)
     p = pi.per_time_state
     qp = prior.per_time_state
     kl_rows = np.where(p > 0.0, p * (np.log(np.where(p > 0.0, p, 1.0)) - np.log(qp)), 0.0)
     rho = env.initial_dist.copy()
     total = 0.0
     for t in range(env.horizon):
-        gain = np.sum(p[t] * env.reward_table(mu.at(t)), axis=1)
+        gain = np.sum(p[t] * tabs.rewards[t], axis=1)
         total += float(rho @ (gain - eta * kl_rows[t].sum(axis=1)))
         if t + 1 < env.horizon:
-            step = p[t][:, :, None] * env.transition_table(mu.at(t))
+            step = p[t][:, :, None] * tabs.kernels[t]
             rho = np.einsum("s,san->n", rho, step)
     return total
 

@@ -2,8 +2,11 @@
 
 Transitions and rewards take the current state distribution as an argument,
 which is what couples a single agent to the population.  ``EnvironmentSpec``
-keeps them as per-(s, a) callables so nothing is materialized up front; dense
-per-time tables are built on demand for the dynamic-programming routines.
+keeps them as per-(s, a) callables; its table primitive, ``transition_table``
+/ ``reward_table``, turns one state distribution into the dense kernel and
+reward tables the dynamic-programming routines consume.  Affine games supply
+vectorized tables (one batched matrix-vector product each); a game given only
+by its callables gets the same tables from a loop over (s, a).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from ..errors import ConfigError, DimensionError
 
 TransitionFn = Callable[[int, int, np.ndarray], np.ndarray]
 RewardFn = Callable[[int, int, np.ndarray], float]
+TableFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,10 @@ class EnvironmentSpec:
     ``transition(s, a, mu_t)`` returns a distribution over next states and
     ``reward(s, a, mu_t)`` a finite real; both must accept any valid state
     distribution ``mu_t``.  Immutable and shareable; the callables are pure.
+    ``dense_transition(mu_t)`` and ``dense_reward(mu_t)``, when given, return
+    the whole (S, A, S) kernel and (S, A) reward table at once and must agree
+    with the per-(s, a) callables; without them the tables are built by
+    calling ``transition`` and ``reward`` for every (s, a).
     """
 
     name: str
@@ -39,7 +47,8 @@ class EnvironmentSpec:
     reward: RewardFn
     state_labels: tuple[str, ...] | None = None
     action_labels: tuple[str, ...] | None = None
-    time_dependent: bool = False  # reserved; built-ins are time-homogeneous
+    dense_transition: TableFn | None = None
+    dense_reward: TableFn | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -65,6 +74,8 @@ class EnvironmentSpec:
 
     def transition_table(self, mu_t: np.ndarray) -> np.ndarray:
         """Dense kernel ``P[s, a, s']`` at the given state distribution."""
+        if self.dense_transition is not None:
+            return self.dense_transition(mu_t)
         p = np.empty((self.num_states, self.num_actions, self.num_states))
         for s in range(self.num_states):
             for a in range(self.num_actions):
@@ -73,6 +84,8 @@ class EnvironmentSpec:
 
     def reward_table(self, mu_t: np.ndarray) -> np.ndarray:
         """Dense rewards ``R[s, a]`` at the given state distribution."""
+        if self.dense_reward is not None:
+            return self.dense_reward(mu_t)
         r = np.empty((self.num_states, self.num_actions))
         for s in range(self.num_states):
             for a in range(self.num_actions):
@@ -113,6 +126,9 @@ def make_affine_env(
     ``r(s, a, mu) = reward_base[s, a] + reward_mu_coef[s, a] . mu`` and
     ``p(s' | s, a, mu) = transition_base[s, a, s'] + transition_mu_coef[s, a, s'] . mu``.
     Covers every built-in tabular game (constant kernels are the zero-coef case).
+    The dense tables broadcast the callables' products over every (s, a) at
+    once; numpy evaluates each (s, a) item with the same BLAS routine as the
+    callable, so the two agree bit for bit.
     """
     rb = np.asarray(reward_base, dtype=np.float64)
     tb = np.asarray(transition_base, dtype=np.float64)
@@ -142,6 +158,13 @@ def make_affine_env(
     def reward(s: int, a: int, mu_t: np.ndarray) -> float:
         return float(rb[s, a] + rc[s, a] @ mu_t)
 
+    def dense_transition(mu_t: np.ndarray) -> np.ndarray:
+        return tb + tc @ mu_t
+
+    def dense_reward(mu_t: np.ndarray) -> np.ndarray:
+        # (1, S) @ (S,) per (s, a) is a dot product, as in ``reward``.
+        return rb + (rc[:, :, None, :] @ mu_t)[:, :, 0]
+
     return EnvironmentSpec(
         name=name,
         horizon=horizon,
@@ -152,6 +175,8 @@ def make_affine_env(
         reward=reward,
         state_labels=tuple(state_labels) if state_labels else None,
         action_labels=tuple(action_labels) if action_labels else None,
+        dense_transition=dense_transition,
+        dense_reward=dense_reward,
     )
 
 

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .. import dp
-from ..core import Policy
+from ..core import Policy, flow_distance
 from ..envs.base import EnvironmentSpec
 from ..errors import ConfigError
 from ..exploitability import exploitability_exact, exploitability_stochastic
@@ -141,7 +141,7 @@ def boltzmann_dqn_iteration(
                 particles.num_meanfields, particles.num_particles, _seed_int(sim_ss)
             ),
         )
-        dist = 0.5 * float(np.abs(mu_next.per_time - mu.per_time).sum(axis=-1).max())
+        dist = flow_distance(mu_next.per_time, mu.per_time)
         records.append(
             IterationRecord(
                 index=k,
@@ -156,9 +156,7 @@ def boltzmann_dqn_iteration(
         mu = mu_next
     final = history[-1]
     for i, rec in enumerate(records):
-        rec.mf_distance_final = 0.5 * float(
-            np.abs(history[i + 1] - final).sum(axis=-1).max()
-        )
+        rec.mf_distance_final = flow_distance(history[i + 1], final)
     return IterationLog(
         records=records,
         final_policy=policy,

@@ -21,7 +21,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dp
-from .core import MeanField, Policy, check_temperature, meanfield_distance, mix
+from .core import (
+    MeanField,
+    Policy,
+    check_temperature,
+    flow_distance,
+    meanfield_distance,
+    mix,
+)
 from .envs.base import EnvironmentSpec
 from .errors import ConfigError
 from .exploitability import exploitability_exact
@@ -139,10 +146,6 @@ class IterationLog:
         }
 
 
-def _mf_dist(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.abs(a - b).sum(axis=-1).max())
-
-
 def detect_limit_cycle(
     log: IterationLog | list[np.ndarray], max_period: int, tol: float = CYCLE_TOL
 ) -> int | None:
@@ -160,7 +163,7 @@ def detect_limit_cycle(
     n = len(history)
     for period in range(1, max_period + 1):
         if all(
-            _mf_dist(history[k], history[k - period]) < tol
+            flow_distance(history[k], history[k - period]) < tol
             for k in range(n - max_period, n)
         ):
             return period
@@ -171,17 +174,26 @@ def _uniform_prior(env: EnvironmentSpec) -> Policy:
     return Policy.uniform(env.horizon, env.num_states, env.num_actions)
 
 
-def _policy_step(env, mu, cfg: SolverConfig, prior: Policy) -> Policy:
-    if cfg.mode == "exact":
-        return dp.greedy_policy(dp.optimal_q(env, mu), cfg.tie)
-    if cfg.mode == "boltzmann":
-        q = dp.optimal_q(env, mu)
+def _policy_step(
+    env, tables: dp.FlowTables, qstar: dp.QTable | None, cfg: SolverConfig, prior: Policy
+) -> Policy:
+    """Policy from the flow behind ``tables``; ``qstar`` is that flow's
+    optimal Q if a best response already computed it, else None."""
+    if cfg.mode == "relent":
+        q = dp.soft_q(env, tables.mu, cfg.eta, prior, tables=tables)
     else:
-        q = dp.soft_q(env, mu, cfg.eta, prior)
+        q = qstar if qstar is not None else dp.optimal_q(env, tables.mu, tables=tables)
+    if cfg.mode == "exact":
+        return dp.greedy_policy(q, cfg.tie)
     return dp.boltzmann_policy(q, cfg.eta, prior)
 
 
 def _iterate(env: EnvironmentSpec, cfg: SolverConfig, eta_label: float) -> IterationLog:
+    """Each flow's tables are built once and shared by every recursion on
+    it: the exploitability's best response and policy evaluation on the
+    induced flow, and the next policy step, which in exact and boltzmann
+    mode also reuses that best response's Q.  A flow mixed by fictitious
+    play is no policy's induced flow, so it gets tables of its own."""
     dp.check_tabular(env)
     prior = (cfg.prior or _uniform_prior(env)).require_positive()
     mu = cfg.initial_mean_field or dp.induced_mean_field(env, prior)
@@ -190,20 +202,26 @@ def _iterate(env: EnvironmentSpec, cfg: SolverConfig, eta_label: float) -> Itera
     records: list[IterationRecord] = []
     pi = prior
     converged = False
+    tables = qstar = None  # mu's tables, and its optimal Q once known
     for k in range(cfg.max_iterations):
         start = time.perf_counter()
-        pi_new = _policy_step(env, mu, cfg, prior)
+        if tables is None:
+            tables = dp.flow_tables(env, mu)
+        pi_new = _policy_step(env, tables, qstar, cfg, prior)
         if cfg.fp_average_policy and k > 0:
             pi_new = mix(pi_new, pi, 1.0 / (k + 1))
-        mu_next = dp.induced_mean_field(env, pi_new)
+        tables = None  # free mu's tables first: one flow's tables alive at a time
+        tables = dp.flow_tables(env, dp.induced_mean_field(env, pi_new))
+        report = exploitability_exact(env, pi_new, tables)
+        mu_next, qstar = tables.mu, report.best_response_q
         if cfg.fp_average_meanfield and k > 0:
             mu_next = mix(mu_next, mu, 1.0 / (k + 1))
-        expl = exploitability_exact(env, pi_new).value
+            tables = qstar = None
         dist = meanfield_distance(mu_next, mu)
         records.append(
             IterationRecord(
                 index=k,
-                exploitability=expl,
+                exploitability=report.value,
                 mf_distance_prev=dist,
                 mf_distance_final=np.nan,
                 eta=eta_label,
@@ -219,7 +237,7 @@ def _iterate(env: EnvironmentSpec, cfg: SolverConfig, eta_label: float) -> Itera
     for offset, snap in enumerate(reversed(history)):
         idx = len(records) - offset  # history holds one more entry (mu^0)
         if 0 <= idx - 1 < len(records):
-            records[idx - 1].mf_distance_final = _mf_dist(snap, final)
+            records[idx - 1].mf_distance_final = flow_distance(snap, final)
     # A converged run's window still holds its approach to the fixed point,
     # whose snapshots lie farther apart than CYCLE_TOL; it has period 1.
     period = 1 if converged else None

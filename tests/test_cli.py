@@ -1,10 +1,13 @@
+import builtins
 import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from mfgsolve import cli
+from mfgsolve.envs import make_lr
 
 
 def write_config(path, **overrides):
@@ -170,3 +173,54 @@ class TestRun:
         assert cli.main(["run", str(cfg)]) == 0
         assert (tmp_path / "results" / "summary.csv").exists()
         assert (tmp_path / "results" / "twostate_boltzmann_eta0.5_seed0.csv").exists()
+
+
+def write_config_path(tmp_path, prior):
+    cfg = tmp_path / "cfg.json"
+    write_config(cfg, env="lr", seeds=[0], eta_grid=[1.0], iterations=5,
+                 prior=f"from_file:{prior}")
+    return cfg
+
+
+class TestPriorFile:
+    def write_prior(self, tmp_path, shape):
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps((np.ones(shape) / shape[-1]).tolist()))
+        return path
+
+    def test_matching_prior_runs(self, tmp_path):
+        cfg = write_config_path(tmp_path, self.write_prior(tmp_path, (2, 3, 2)))
+        assert cli.main(["validate", str(cfg)]) == 0
+        assert cli.main(["run", str(cfg)]) == 0
+
+    def test_shape_mismatch_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config_path(tmp_path, self.write_prior(tmp_path, (3, 3, 3)))
+        assert cli.main(["validate", str(cfg)]) == 1
+        assert "(3, 3, 3)" in capsys.readouterr().out
+        assert cli.main(["run", str(cfg)]) == 1
+
+    def test_file_is_closed(self, tmp_path, monkeypatch):
+        prior = self.write_prior(tmp_path, (2, 3, 2))
+        cfg = cli.load_config(str(write_config_path(tmp_path, prior)))
+        opened = []
+        real_open = builtins.open
+
+        def tracking_open(*args, **kwargs):
+            f = real_open(*args, **kwargs)
+            opened.append(f)
+            return f
+
+        monkeypatch.setattr(builtins, "open", tracking_open)
+        loaded = cli._load_prior(cfg, make_lr())
+        monkeypatch.undo()
+        assert loaded.per_time_state.shape == (2, 3, 2)
+        assert opened and all(f.closed for f in opened)
+
+    def test_taxi_takes_one_action_distribution(self, tmp_path, capsys):
+        num_actions = cli.make_taxi().num_actions
+        cfg = tmp_path / "cfg.json"
+        for shape, code in (((num_actions,), 0), ((2, 3, num_actions), 1)):
+            prior = self.write_prior(tmp_path, shape)
+            write_config(cfg, env="taxi", solver="boltzmann_dqn", prior=f"from_file:{prior}")
+            assert cli.main(["validate", str(cfg)]) == code
+        assert f"needs ({num_actions},)" in capsys.readouterr().out

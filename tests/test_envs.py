@@ -2,8 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_affine_env
+from mfgsolve.core import SIMPLEX_ATOL
 from mfgsolve.envs import (
+    EnvironmentSpec,
     load_custom_env,
     make_affine_env,
     make_lr,
@@ -126,6 +131,52 @@ class TestDynamicsInvariants:
         other = env.transition_table(rng.dirichlet(np.ones(env.num_states)))
         np.testing.assert_array_equal(base, other)
         assert np.all(np.isin(base, (0.0, 1.0)))
+
+
+class TestAffineTables:
+    """The vectorized tables of an affine game against its per-(s, a)
+    callables, and against the loop an ``EnvironmentSpec`` built from those
+    callables alone falls back to."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_states=st.integers(1, 6),
+        num_actions=st.integers(1, 3),
+        mu_reward=st.booleans(),
+        mu_transition=st.booleans(),
+    )
+    def test_tables_match_callables(
+        self, seed, num_states, num_actions, mu_reward, mu_transition
+    ):
+        rng = np.random.default_rng(seed)
+        env = random_affine_env(
+            rng, 2, num_states, num_actions, mu_reward, mu_transition
+        )
+        callables_only = EnvironmentSpec(
+            name="callables",
+            horizon=env.horizon,
+            num_states=num_states,
+            num_actions=num_actions,
+            initial_dist=env.initial_dist,
+            transition=env.transition,
+            reward=env.reward,
+        )
+        mu = rng.dirichlet(np.ones(num_states))
+        kernel = env.transition_table(mu)
+        stacked = np.array(
+            [[env.transition(s, a, mu) for a in range(num_actions)]
+             for s in range(num_states)]
+        )
+        np.testing.assert_array_equal(kernel, stacked)
+        np.testing.assert_array_equal(kernel, callables_only.transition_table(mu))
+        rewards = env.reward_table(mu)
+        np.testing.assert_allclose(
+            rewards, callables_only.reward_table(mu), rtol=0.0, atol=1e-12
+        )
+        assert rewards.shape == (num_states, num_actions)
+        assert np.all(kernel >= 0.0)
+        np.testing.assert_allclose(kernel.sum(axis=-1), 1.0, rtol=0.0, atol=SIMPLEX_ATOL)
 
 
 class TestCustomEnv:

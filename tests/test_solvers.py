@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_policy
+from conftest import random_affine_env, random_policy
 from mfgsolve import dp
-from mfgsolve.core import MeanField, Policy, meanfield_distance, policy_distance
+from mfgsolve.core import MeanField, Policy, meanfield_distance, mix, policy_distance
 from mfgsolve.envs import make_lr, make_rps, make_sis, make_toy_lr
 from mfgsolve.errors import ConfigError
+from mfgsolve.exploitability import exploitability_exact
 from mfgsolve.solvers import (
     PriorDescentConfig,
     SolverConfig,
@@ -170,6 +171,62 @@ class TestBoltzmannIteration:
         rows = log.final_policy.per_time_state
         assert np.all(rows >= 0.0)
         np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def naive_iterate(env, cfg):
+    """The fixed-point loop with every step recomputed from scratch through
+    the public API: no table, flow or action value is shared."""
+    pi = prior = Policy.uniform(env.horizon, env.num_states, env.num_actions)
+    mu = dp.induced_mean_field(env, prior)
+    series = []
+    for k in range(cfg.max_iterations):
+        if cfg.mode == "relent":
+            pi_new = dp.boltzmann_policy(dp.soft_q(env, mu, cfg.eta, prior), cfg.eta, prior)
+        elif cfg.mode == "boltzmann":
+            pi_new = dp.boltzmann_policy(dp.optimal_q(env, mu), cfg.eta, prior)
+        else:
+            pi_new = dp.greedy_policy(dp.optimal_q(env, mu), cfg.tie)
+        if cfg.fp_average_policy and k > 0:
+            pi_new = mix(pi_new, pi, 1.0 / (k + 1))
+        mu_next = dp.induced_mean_field(env, pi_new)
+        if cfg.fp_average_meanfield and k > 0:
+            mu_next = mix(mu_next, mu, 1.0 / (k + 1))
+        series.append(exploitability_exact(env, pi_new).value)
+        pi, mu = pi_new, mu_next
+    return series, pi, mu
+
+
+def _affine_s5():
+    return random_affine_env(np.random.default_rng(5), 6, 5, 3)
+
+
+class TestSharedWorkMatchesNaiveLoop:
+    """``_iterate`` shares each flow's tables, and in exact and boltzmann
+    mode the best response's Q, with the next policy step.  That sharing
+    must not move a single bit, with or without fictitious-play mixing."""
+
+    @pytest.mark.parametrize("fp_meanfield", [False, True])
+    @pytest.mark.parametrize("fp_policy", [False, True])
+    @pytest.mark.parametrize("mode", ["exact", "boltzmann", "relent"])
+    @pytest.mark.parametrize(
+        "make, iterations",
+        [(make_rps, 8), (make_sis, 5), (_affine_s5, 8)],
+        ids=["rps", "sis", "affine_s5"],
+    )
+    def test_bit_identical(self, make, iterations, mode, fp_policy, fp_meanfield):
+        env = make()
+        cfg = SolverConfig(
+            max_iterations=iterations,
+            mode=mode,
+            eta=None if mode == "exact" else 0.3,
+            fp_average_policy=fp_policy,
+            fp_average_meanfield=fp_meanfield,
+        )
+        log = (exact_fpi if mode == "exact" else boltzmann_iteration)(env, cfg)
+        series, pi, mu = naive_iterate(env, cfg)
+        assert log.exploitabilities.tolist() == series
+        np.testing.assert_array_equal(log.final_policy.per_time_state, pi.per_time_state)
+        np.testing.assert_array_equal(log.final_meanfield.per_time, mu.per_time)
 
 
 class TestDetectLimitCycle:
