@@ -47,6 +47,7 @@ CSV_COLUMNS = (
     "mf_distance_final",
     "eta",
     "elapsed_s",
+    "std_error",  # blank where the exploitability is exact
 )
 
 DEFAULTS = {
@@ -255,6 +256,7 @@ def _write_cell_csv(path: str, log: IterationLog) -> None:
                     repr(r.mf_distance_final),
                     repr(r.eta),
                     f"{r.elapsed_s:.6f}",
+                    "" if r.std_error is None else repr(r.std_error),
                 ]
             )
 

@@ -5,7 +5,10 @@ Per iteration: train a Q-network on the MDP frozen at the current flow, take
 the softmax-with-prior policy of its values, simulate the next flow with
 particles.  On tabular environments the network is collapsed to a dense table
 so the policy and the exploitability stay exact; on sampled environments
-(taxi) both the policy and the evaluation are stochastic.
+(taxi) both the policy and the evaluation are stochastic, and the stochastic
+exploitability's simulated flow and best-response network, trained on that
+very flow, become the next iteration's flow and network.  A sampled run of K
+iterations thus trains K + 1 networks and simulates K + 1 flows.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from ..core import Policy, flow_distance
 from ..envs.base import EnvironmentSpec
 from ..errors import ConfigError
 from ..exploitability import exploitability_exact, exploitability_stochastic
-from ..sim import ParticleConfig, UniformStatePolicy, frozen_mdp, simulate_mean_field
+from ..sim import FixedActionPolicy, ParticleConfig, frozen_mdp, simulate_mean_field
 from ..solvers import IterationLog, IterationRecord
 from .dqn import DqnHyperparams, dqn_train
 from .policies import (
@@ -88,19 +91,10 @@ def boltzmann_dqn_iteration(
         prior_policy.require_positive()
         sample_policy_0 = prior_policy
     else:
-        probs = (
-            np.full(env.num_actions, 1.0 / env.num_actions)
-            if prior is None
-            else np.asarray(prior, dtype=np.float64)
-        )
+        sample_policy_0 = FixedActionPolicy(env.num_actions, prior)
+        probs = sample_policy_0.probs
         if np.any(probs <= 0.0):
             raise ConfigError("prior must be strictly positive")
-        sampler = UniformStatePolicy(env.num_actions)
-        sampler_probs = probs
-        sampler.action_probs = lambda t, states: np.tile(
-            sampler_probs, (len(states), 1)
-        )
-        sample_policy_0 = sampler
 
     mu = simulate_mean_field(
         env,
@@ -113,34 +107,39 @@ def boltzmann_dqn_iteration(
     for k in range(iterations):
         start = time.perf_counter()
         train_ss, sim_ss, eval_ss = iter_ss[k].spawn(3)
-        net = dqn_train(frozen_mdp(env, mu), hp, seed=_seed_int(train_ss))
+        if tabular or k == 0:
+            net = dqn_train(frozen_mdp(env, mu), hp, seed=_seed_int(train_ss))
         if tabular:
             qtab = network_q_table(net, env)
             if eta > 0.0:
                 policy = dp.boltzmann_policy(qtab, eta, prior_policy)
             else:
                 policy = dp.greedy_policy(qtab, "first_optimal")
-            expl = exploitability_exact(env, policy).value
+            expl, std_error = exploitability_exact(env, policy).value, None
+            mu_next = simulate_mean_field(
+                env,
+                policy,
+                ParticleConfig(
+                    particles.num_meanfields, particles.num_particles, _seed_int(sim_ss)
+                ),
+            )
         else:
             if eta > 0.0:
                 policy = BoltzmannNetworkPolicy(net, env, eta, probs)
             else:
                 policy = GreedyNetworkPolicy(net, env)
-            expl = exploitability_stochastic(
+            # The report's best response is trained on the policy's simulated
+            # flow: exactly the next iteration's training problem.
+            report = exploitability_stochastic(
                 env,
                 policy,
                 particles,
                 episodes=eval_episodes,
                 rng_seed=_seed_int(eval_ss),
                 br_hyperparams=hp,
-            ).value
-        mu_next = simulate_mean_field(
-            env,
-            policy,
-            ParticleConfig(
-                particles.num_meanfields, particles.num_particles, _seed_int(sim_ss)
-            ),
-        )
+            )
+            expl, std_error = report.value, report.std_error
+            mu_next, net = report.meanfield, report.best_response_net
         dist = flow_distance(mu_next.per_time, mu.per_time)
         records.append(
             IterationRecord(
@@ -150,6 +149,7 @@ def boltzmann_dqn_iteration(
                 mf_distance_final=np.nan,
                 eta=eta,
                 elapsed_s=time.perf_counter() - start,
+                std_error=std_error,
             )
         )
         history.append(mu_next.per_time)

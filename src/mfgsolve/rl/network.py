@@ -164,14 +164,35 @@ class Adam:
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        self._scratch = np.empty((2, 0))  # shared by all keys, grown on demand
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """Update ``params`` in place: ``m += (1 - beta1) * (g - m)``,
+        ``v += (1 - beta2) * (g * g - v)`` and
+        ``params -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``, one operation at
+        a time in scratch space, so bit for bit without temporaries."""
         self.step_count += 1
         b1c = 1.0 - self.beta1**self.step_count
         b2c = 1.0 - self.beta2**self.step_count
+        size = max(g.size for g in grads.values())
+        if self._scratch.shape[1] < size:
+            self._scratch = np.empty((2, size))
         for k, g in grads.items():
-            m = self._m.setdefault(k, np.zeros_like(g))
-            v = self._v.setdefault(k, np.zeros_like(g))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            params[k] = params[k] - self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            if k not in self._m:
+                self._m[k], self._v[k] = np.zeros_like(g), np.zeros_like(g)
+            m, v = self._m[k], self._v[k]
+            num, den = (row[: g.size].reshape(g.shape) for row in self._scratch)
+            np.subtract(g, m, out=num)
+            num *= 1.0 - self.beta1
+            m += num
+            np.multiply(g, g, out=num)
+            num -= v
+            num *= 1.0 - self.beta2
+            v += num
+            np.divide(m, b1c, out=num)
+            num *= self.lr
+            np.divide(v, b2c, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            params[k] -= num

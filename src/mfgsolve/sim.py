@@ -55,14 +55,16 @@ def _sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
     return (u >= cum).sum(axis=1)
 
 
-class UniformStatePolicy:
-    """Uniform action sampler for sampled (non-tabular) environments."""
+class FixedActionPolicy:
+    """One action distribution at every time and state, for sampled
+    (non-tabular) environments; uniform unless ``probs`` is given."""
 
-    def __init__(self, num_actions: int):
-        self.num_actions = num_actions
+    def __init__(self, num_actions: int, probs=None):
+        uniform = np.full(num_actions, 1.0 / num_actions)
+        self.probs = uniform if probs is None else np.asarray(probs, dtype=np.float64)
 
     def action_probs(self, t: int, states) -> np.ndarray:
-        return np.full((len(states), self.num_actions), 1.0 / self.num_actions)
+        return np.tile(self.probs, (len(states), 1))
 
 
 def _particle_flow_tabular(

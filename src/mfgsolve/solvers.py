@@ -113,6 +113,8 @@ class IterationRecord:
     mf_distance_final: float
     eta: float
     elapsed_s: float
+    # Standard error of a stochastic exploitability estimate; None if exact.
+    std_error: float | None = None
 
 
 @dataclass
@@ -295,6 +297,10 @@ def prior_descent(env: EnvironmentSpec, cfg: PriorDescentConfig) -> IterationLog
             seed=cfg.seed,
             window=cfg.window,
             history=cfg.history,
+            # The prior's induced flow, unless flow averaging mixed it.
+            initial_mean_field=(
+                None if last is None or cfg.fp_average_meanfield else last.final_meanfield
+            ),
         )
         boundaries.append(len(records))
         last = boltzmann_iteration(env, inner_cfg)

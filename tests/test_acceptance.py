@@ -339,13 +339,13 @@ class TestCriterion9:
     @pytest.mark.slow
     def test_taxi_uniform_prior_exploitability(self):
         from mfgsolve.exploitability import exploitability_stochastic
-        from mfgsolve.sim import UniformStatePolicy
+        from mfgsolve.sim import FixedActionPolicy
 
         start = time.perf_counter()
         taxi = m.make_taxi()
         rep = exploitability_stochastic(
             taxi,
-            UniformStatePolicy(taxi.num_actions),
+            FixedActionPolicy(taxi.num_actions),
             particles=ParticleConfig(5, 200, 0),
             episodes=500,
             rng_seed=0,

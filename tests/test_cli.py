@@ -174,6 +174,25 @@ class TestRun:
         assert (tmp_path / "results" / "summary.csv").exists()
         assert (tmp_path / "results" / "twostate_boltzmann_eta0.5_seed0.csv").exists()
 
+    def test_std_error_column(self, tmp_path):
+        # Blank where the exploitability is exact, the estimate's standard
+        # error where it is sampled (taxi).
+        col = cli.CSV_COLUMNS.index("std_error")
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, eta_grid=[1.0], seeds=[0], iterations=3)
+        assert cli.main(["run", str(cfg)]) == 0
+        rows = read_csv(tmp_path / "results" / "toy_lr_boltzmann_eta1_seed0.csv")
+        assert [row[col] for row in rows[1:]] == ["", "", ""]
+        write_config(
+            cfg, env="taxi", solver="boltzmann_dqn", eta_grid=[0.1], seeds=[0], iterations=2,
+            particles={"num_meanfields": 1, "num_particles": 10}, eval_episodes=2,
+            dqn={"epochs": 2, "hidden_width": 8},
+        )
+        assert cli.main(["run", str(cfg)]) == 0
+        rows = read_csv(tmp_path / "results" / "taxi_boltzmann_dqn_eta0.1_seed0.csv")
+        assert len(rows) == 3
+        assert all(np.isfinite(float(row[col])) for row in rows[1:])
+
 
 def write_config_path(tmp_path, prior):
     cfg = tmp_path / "cfg.json"

@@ -273,3 +273,72 @@ class TestNetworkPolicies:
         assert probs.shape == (4, 5)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs > 0.0)
+
+
+class TestSharedBestResponse:
+    """On sampled environments each stochastic exploitability's flow and
+    best-response network are the next iteration's flow and network."""
+
+    K = 3
+
+    def _run(self, monkeypatch, env, hp, particles):
+        from mfgsolve.rl import dqn, loop
+
+        trainings, calls = [], []
+        train = dqn.dqn_train
+        expl = loop.exploitability_stochastic
+
+        def recording_train(mdp, hp, seed):
+            net = train(mdp, hp, seed)
+            trainings.append((mdp, net))
+            return net
+
+        def recording_expl(env, pi, *args, **kwargs):
+            report = expl(env, pi, *args, **kwargs)
+            calls.append((pi, report))
+            return report
+
+        # The exploitability imports dqn_train from rl.dqn at call time.
+        monkeypatch.setattr(dqn, "dqn_train", recording_train)
+        monkeypatch.setattr(loop, "dqn_train", recording_train)
+        monkeypatch.setattr(loop, "exploitability_stochastic", recording_expl)
+        log = boltzmann_dqn_iteration(
+            env, eta=0.1, prior=None, iterations=self.K, particles=particles,
+            hp=hp, seed=0, eval_episodes=2,
+        )
+        return log, trainings, calls
+
+    @pytest.fixture
+    def taxi_run(self, monkeypatch):
+        from mfgsolve.envs import make_taxi
+
+        hp = DqnHyperparams(hidden_width=8, epochs=2)
+        return self._run(monkeypatch, make_taxi(), hp, ParticleConfig(1, 10, 0))
+
+    def test_trains_k_plus_one_networks(self, taxi_run):
+        log, trainings, calls = taxi_run
+        assert len(log.records) == len(calls) == self.K
+        assert len(trainings) == self.K + 1
+
+    def test_next_flow_and_network_are_the_best_response(self, taxi_run):
+        log, trainings, calls = taxi_run
+        trained_on = {id(net): mdp.mu for mdp, net in trainings}
+        np.testing.assert_array_equal(trainings[0][0].mu, log.meanfield_history[0])
+        for k, (_, report) in enumerate(calls):
+            np.testing.assert_array_equal(report.meanfield.per_time, log.meanfield_history[k + 1])
+            np.testing.assert_array_equal(
+                trained_on[id(report.best_response_net)], log.meanfield_history[k + 1]
+            )
+            if k + 1 < self.K:
+                assert calls[k + 1][0].net is report.best_response_net
+
+    def test_records_carry_the_standard_error(self, taxi_run):
+        log, _, calls = taxi_run
+        assert all(np.isfinite(r.std_error) for r in log.records)
+        assert [r.std_error for r in log.records] == [rep.std_error for _, rep in calls]
+
+    def test_tabular_loop_trains_every_iteration(self, monkeypatch):
+        hp = DqnHyperparams(epochs=20, batch_size=8, hidden_width=8)
+        log, trainings, calls = self._run(monkeypatch, make_rps(), hp, ParticleConfig(1, 50, 0))
+        assert len(trainings) == self.K and calls == []
+        assert all(r.std_error is None for r in log.records)

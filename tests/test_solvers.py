@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,44 @@ class TestPriorDescent:
         a = prior_descent(env, cfg)
         b = prior_descent(env, cfg)
         np.testing.assert_array_equal(a.exploitabilities, b.exploitabilities)
+
+    def test_outer_iterations_reuse_the_prior_flow(self, monkeypatch):
+        # Each outer iteration's prior is the previous inner run's final
+        # policy, whose induced flow that run has already computed.
+        from mfgsolve import cli
+
+        calls = []
+        original = dp.induced_mean_field
+        monkeypatch.setattr(
+            dp, "induced_mean_field", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+        cfg = cli.load_config(os.path.join(path, "sis_prior_descent.json"))
+        log = cli.run_cell(cfg, cfg["eta_grid"][0], cfg["seeds"][0])
+        assert len(log.records) == 2000
+        assert len(calls) == 2000 + 1  # one per iteration, plus the first prior's flow
+
+    @pytest.mark.parametrize("fp_meanfield", [False, True])
+    def test_series_match_restarting_each_outer_iteration(self, fp_meanfield):
+        env = make_sis()
+        cfg = PriorDescentConfig(
+            outer_iterations=3, inner_iterations=4, eta0=0.15, c=1.2, mode="relent",
+            fp_average_meanfield=fp_meanfield,
+        )
+        expected, prior, eta = [], None, cfg.eta0
+        for _ in range(cfg.outer_iterations):
+            inner = boltzmann_iteration(
+                env,
+                SolverConfig(
+                    max_iterations=cfg.inner_iterations, mode="relent", eta=eta,
+                    prior=prior, fp_average_meanfield=fp_meanfield,
+                ),
+            )
+            expected.extend(inner.exploitabilities)
+            prior, eta = inner.final_policy, eta * cfg.c
+        np.testing.assert_array_equal(
+            prior_descent(env, cfg).exploitabilities, np.array(expected)
+        )
 
 
 def test_exact_fpi_deterministic_replay():
