@@ -28,7 +28,7 @@ from .core import Policy, as_distribution
 from .envs import BUILTIN_FACTORIES, EnvironmentSpec, load_custom_env, make_taxi
 from .errors import ConfigError
 from .rl.dqn import DqnHyperparams
-from .rl.loop import boltzmann_dqn_iteration, check_value_fitting_mode
+from .rl.loop import boltzmann_dqn_iteration
 from .sim import ParticleConfig
 from .solvers import (
     IterationLog,
@@ -125,9 +125,8 @@ def validate_config(cfg: dict) -> list[str]:
                 problems.append(f"prior_descent missing key: {key}")
     if solver == "boltzmann_dqn":
         try:
-            check_value_fitting_mode("boltzmann")
             DqnHyperparams().with_overrides(**cfg.get("dqn", {}))
-        except (TypeError, ValueError, ConfigError) as exc:
+        except (TypeError, ValueError) as exc:
             problems.append(f"dqn overrides invalid: {exc}")
     if env == "taxi" and solver != "boltzmann_dqn":
         problems.append("env 'taxi' is only solvable with solver 'boltzmann_dqn'")

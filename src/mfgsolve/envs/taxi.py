@@ -2,11 +2,12 @@
 
 The composite agent state (position, destination, carrying flag, board of
 waiting passengers) spans ~2^27 configurations on the default map, so nothing
-tabular is ever materialized: transitions are sampled lazily from
-``TaxiState`` values, and the population enters only through the per-tile
-occupancy (the chance of being stuck in a jam on a tile grows with the share
-of taxis on it).  A bijective integer encoding is provided for replay-buffer
-storage.
+tabular is ever materialized.  A state is an int64 code, the bijective
+``encode``/``decode`` of a ``TaxiState``, and one array kernel
+(``step_codes``, with ``observe_codes`` for network inputs) steps any number
+of taxis at once; the single-``TaxiState`` methods call it with one taxi.
+The population enters only through the per-tile occupancy (the chance of
+being stuck in a jam on a tile grows with the share of taxis on it).
 
 Map format: newline-separated rows over the alphabet {S, H, 1, 2} with
 exactly one start tile S, impassable walls H, and region tiles 1/2.
@@ -30,6 +31,7 @@ HSH
 222"""
 
 ACTIONS = ("W", "U", "D", "L", "R")
+_WAIT = ACTIONS.index("W")
 _MOVES = {1: (-1, 0), 2: (1, 0), 3: (0, -1), 4: (0, 1)}  # U, D, L, R
 JAM_CAP = 0.7
 JAM_SLOPE = 10.0
@@ -57,9 +59,6 @@ class TaxiMap:
         rows = [line for line in text.strip("\n").splitlines()]
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ConfigError("taxi map rows must be nonempty and equally long")
-        self.num_rows = len(rows)
-        self.num_cols = len(rows[0])
-        self.grid = rows
         starts = []
         self.region_of: dict[tuple[int, int], int] = {}
         passable = []
@@ -94,13 +93,6 @@ class TaxiMap:
     def is_passable(self, x: int, y: int) -> bool:
         return (x, y) in self.tile_index
 
-    def board_matrix(self, board: int) -> np.ndarray:
-        mat = np.zeros((self.num_rows, self.num_cols), dtype=bool)
-        for pos, bit in self.board_bit.items():
-            if board >> bit & 1:
-                mat[pos] = True
-        return mat
-
 
 class TaxiEnvironment:
     """Sampling interface consumed by the particle simulator and DQN loop.
@@ -117,15 +109,57 @@ class TaxiEnvironment:
         self.action_labels = ACTIONS
         self.mf_size = len(self.map.passable)
         m = self.map
-        self._num_board_states = 1 << len(m.board_tiles)
+        num_bits = len(m.board_tiles)
         # Destination slot 0 = empty taxi; slots 1.. enumerate board tiles.
-        self._dest_slots = len(m.board_tiles) + 1
-        self.num_states = (
-            self._num_board_states * self._dest_slots * len(m.passable)
+        self._dest_slots = num_bits + 1
+        self.num_states = (1 << num_bits) * self._dest_slots * self.mf_size
+        if self.num_states > np.iinfo(np.int64).max:
+            raise ConfigError(
+                f"taxi map has too many region tiles ({num_bits}) for int64 state codes"
+            )
+        self.obs_dim = self.mf_size + self._dest_slots + 1 + num_bits + 1
+        self._build_kernel_tables()
+
+    def _build_kernel_tables(self) -> None:
+        """Per-tile lookup arrays read by ``step_codes``/``observe_codes``."""
+        m = self.map
+        tile = m.tile_index
+        self._bits = np.arange(len(m.board_tiles), dtype=np.int64)
+        # Board mask and event reward of each tile (0 on the start tile).
+        self._tile_mask = np.zeros(self.mf_size, dtype=np.int64)
+        self._tile_reward = np.zeros(self.mf_size)
+        for pos, bit in m.board_bit.items():
+            self._tile_mask[tile[pos]] = 1 << bit
+            self._tile_reward[tile[pos]] = REGION_REWARDS[m.region_of[pos]]
+        # Tile of each destination slot; slot 0 (empty) matches no tile.
+        self._dest_tile = np.array(
+            [-1] + [tile[pos] for pos in m.board_tiles], dtype=np.int64
         )
-        self.obs_dim = (
-            len(m.passable) + self._dest_slots + 1 + len(m.board_tiles) + 1
-        )
+        # Tile reached by each action where the move is not jammed.
+        self._move_to = np.empty((self.mf_size, self.num_actions), dtype=np.int64)
+        for (x, y), i in tile.items():
+            for a in range(self.num_actions):
+                dx, dy = _MOVES.get(a, (0, 0))
+                nxt = (x + dx, y + dy)
+                ok = m.is_passable(*nxt) and nxt != m.start
+                self._move_to[i, a] = tile[nxt] if ok else i
+        # Regions as rows of board masks, zero-padded to the widest region:
+        # ``_region_valid`` marks the real tiles, and the 0 in column
+        # ``width`` is what a spawn adds when no tile is free.
+        regions = sorted(m.region_tiles)
+        width = max(len(tiles) for tiles in m.region_tiles.values())
+        self._region_masks = np.zeros((len(regions), width + 1), dtype=np.int64)
+        # Destination slots a pickup on each tile can draw (its own region).
+        self._region_size = np.zeros(self.mf_size, dtype=np.int64)
+        self._pickup_dest = np.zeros((self.mf_size, width), dtype=np.int64)
+        for row, r in enumerate(regions):
+            bits = [m.board_bit[pos] for pos in m.region_tiles[r]]
+            self._region_masks[row, : len(bits)] = [1 << b for b in bits]
+            for pos in m.region_tiles[r]:
+                self._region_size[tile[pos]] = len(bits)
+                self._pickup_dest[tile[pos], : len(bits)] = [1 + b for b in bits]
+        self._region_valid = self._region_masks[:, :-1] != 0
+        self._region_rows = np.arange(len(regions))
 
     # -- state bookkeeping ------------------------------------------------
 
@@ -133,8 +167,9 @@ class TaxiEnvironment:
         sx, sy = self.map.start
         return TaxiState(sx, sy, 0, 0, False, 0)
 
-    def mf_index(self, state: TaxiState) -> int:
-        return self.map.tile_index[(state.x, state.y)]
+    def mf_index(self, codes: np.ndarray) -> np.ndarray:
+        """Tile (mean-field) index of each state code."""
+        return codes % self.mf_size
 
     def encode(self, state: TaxiState) -> int:
         m = self.map
@@ -152,40 +187,95 @@ class TaxiEnvironment:
         dx, dy = m.board_tiles[dest - 1]
         return TaxiState(x, y, dx, dy, True, board)
 
-    def observe(self, t: int, state: TaxiState) -> np.ndarray:
-        """Feature vector: one-hot position and destination slot, carrying
-        flag, raw board bits, and the current time appended."""
-        m = self.map
-        obs = np.zeros(self.obs_dim)
-        obs[m.tile_index[(state.x, state.y)]] = 1.0
-        base = len(m.passable)
-        dest = 1 + m.board_bit[(state.dest_x, state.dest_y)] if state.passenger else 0
-        obs[base + dest] = 1.0
+    def _fields(self, codes: np.ndarray):
+        """(tile, destination slot, board) arrays of state codes."""
+        rest, pos = np.divmod(codes, self.mf_size)
+        board, dest = np.divmod(rest, self._dest_slots)
+        return pos, dest, board
+
+    def observe_codes(self, t: int, codes: np.ndarray) -> np.ndarray:
+        """(n, obs_dim) feature rows: one-hot tile, one-hot destination slot,
+        carrying flag, raw board bits, and the current time appended."""
+        pos, dest, board = self._fields(np.asarray(codes, dtype=np.int64))
+        rows = np.arange(len(pos))
+        obs = np.zeros((len(pos), self.obs_dim))
+        obs[rows, pos] = 1.0
+        base = self.mf_size
+        obs[rows, base + dest] = 1.0
         base += self._dest_slots
-        obs[base] = float(state.passenger)
-        base += 1
-        for pos, bit in m.board_bit.items():
-            if state.board >> bit & 1:
-                obs[base + bit] = 1.0
-        obs[-1] = float(t)
+        obs[:, base] = dest > 0
+        obs[:, base + 1 : -1] = (board[:, None] >> self._bits) & 1
+        obs[:, -1] = t
         return obs
+
+    def observe(self, t: int, state: TaxiState) -> np.ndarray:
+        return self.observe_codes(t, [self.encode(state)])[0]
 
     # -- dynamics ----------------------------------------------------------
 
-    def jam_probability(self, tile_occupancy: float) -> float:
-        return min(JAM_CAP, JAM_SLOPE * tile_occupancy)
+    def jam_probability(self, tile_occupancy):
+        """Chance that a move fails on a tile holding this share of taxis
+        (elementwise for arrays)."""
+        return np.minimum(JAM_CAP, JAM_SLOPE * tile_occupancy)
+
+    def _events(self, pos, dest, board, actions):
+        """Delivery and pickup flags and the event reward: W delivers on the
+        destination tile, else picks up a passenger waiting on an empty
+        taxi's tile; either pays the tile's region reward."""
+        wait = actions == _WAIT
+        delivery = wait & (self._dest_tile[dest] == pos)
+        pickup = wait & (dest == 0) & (board & self._tile_mask[pos] != 0)
+        reward = np.where(delivery | pickup, self._tile_reward[pos], 0.0)
+        return delivery, pickup, reward
 
     def reward_of(self, state: TaxiState, action: int) -> float:
         """Deterministic event reward: pickup or delivery via W, else 0."""
-        if ACTIONS[action] != "W":
-            return 0.0
-        here = (state.x, state.y)
-        if state.passenger and here == (state.dest_x, state.dest_y):
-            return REGION_REWARDS[self.map.region_of[here]]
-        bit = self.map.board_bit.get(here)
-        if not state.passenger and bit is not None and state.board >> bit & 1:
-            return REGION_REWARDS[self.map.region_of[here]]
-        return 0.0
+        fields = self._fields(np.array([self.encode(state)]))
+        return float(self._events(*fields, np.array([action]))[2][0])
+
+    def step_codes(
+        self,
+        rng: np.random.Generator,
+        t: int,
+        codes: np.ndarray,
+        actions: np.ndarray,
+        mu_t: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One transition of n taxis: resolve each action, then spawn new
+        passengers.  Returns the next codes and the event rewards.
+
+        W picks up / delivers (at most one event per step); a pickup's
+        destination is a uniformly random tile of the pickup tile's region.
+        Movement is blocked by walls and the start tile and fails entirely
+        with the jam probability of the current tile.  Spawning adds, per
+        region with probability 0.8, one passenger on a uniformly random
+        region tile that has none waiting.
+
+        Draws exactly ``rng.random((6, n))`` per call, column i for taxi i:
+        row 0 the jam test, row 1 the pickup destination, then per region
+        (1, 2) its spawn test and its spawn tile (rows 2, 3 and 4, 5).  A
+        choice among k options takes ``floor(u * k)``.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        actions = np.asarray(actions, dtype=np.int64)
+        u = rng.random((6, len(codes)))
+        pos, dest, board = self._fields(codes)
+        delivery, pickup, reward = self._events(pos, dest, board, actions)
+        pick = (u[1] * self._region_size[pos]).astype(np.int64)
+        dest = np.where(pickup, self._pickup_dest[pos, pick], np.where(delivery, 0, dest))
+        board = board - self._tile_mask[pos] * pickup
+        # W maps every tile to itself, so only moves depend on the jam draw.
+        free_move = u[0] >= self.jam_probability(mu_t[pos])
+        pos = np.where(free_move, self._move_to[pos, actions], pos)
+        # Spawn: the k-th free tile of a region is where its running count
+        # of free tiles first exceeds k.
+        free = (board[:, None, None] & self._region_masks[:, :-1] == 0) & self._region_valid
+        running = np.cumsum(free, axis=2)
+        k = (u[3::2].T * running[:, :, -1]).astype(np.int64)
+        slot = (running <= k[:, :, None]).sum(axis=2)
+        spawned = self._region_masks[self._region_rows, slot]
+        board = board + np.where(u[2::2].T < SPAWN_PROB, spawned, 0).sum(axis=1)
+        return (board * self._dest_slots + dest) * self.mf_size + pos, reward
 
     def sample_step(
         self,
@@ -195,54 +285,11 @@ class TaxiEnvironment:
         action: int,
         mu_t: np.ndarray,
     ) -> tuple[TaxiState, float]:
-        """One transition: resolve the action, then spawn new passengers.
-
-        W picks up / delivers (at most one event per step); movement is
-        blocked by walls and the start tile and fails entirely with the jam
-        probability of the current tile.  Spawning adds, per region with
-        probability 0.8, one passenger on a uniformly random region tile
-        that has none waiting.
-        """
-        m = self.map
-        reward = self.reward_of(state, action)
-        x, y = state.x, state.y
-        dest_x, dest_y, passenger, board = (
-            state.dest_x,
-            state.dest_y,
-            state.passenger,
-            state.board,
+        """``step_codes`` for one taxi."""
+        codes, rewards = self.step_codes(
+            rng, t, np.array([self.encode(state)]), np.array([action]), mu_t
         )
-        if ACTIONS[action] == "W":
-            here = (x, y)
-            if passenger and here == (dest_x, dest_y):
-                passenger, dest_x, dest_y = False, 0, 0
-            else:
-                bit = m.board_bit.get(here)
-                if not passenger and bit is not None and board >> bit & 1:
-                    board &= ~(1 << bit)
-                    region = m.region_of[here]
-                    dest_x, dest_y = m.region_tiles[region][
-                        rng.integers(len(m.region_tiles[region]))
-                    ]
-                    passenger = True
-        else:
-            jam = self.jam_probability(float(mu_t[m.tile_index[(x, y)]]))
-            if rng.random() >= jam:
-                dx, dy = _MOVES[action]
-                nx, ny = x + dx, y + dy
-                if m.is_passable(nx, ny) and (nx, ny) != m.start:
-                    x, y = nx, ny
-        for region in (1, 2):
-            if rng.random() < SPAWN_PROB:
-                empty = [
-                    pos
-                    for pos in m.region_tiles[region]
-                    if not board >> m.board_bit[pos] & 1
-                ]
-                if empty:
-                    px, py = empty[rng.integers(len(empty))]
-                    board |= 1 << m.board_bit[(px, py)]
-        return TaxiState(x, y, dest_x, dest_y, passenger, board), reward
+        return self.decode(int(codes[0])), float(rewards[0])
 
 
 def make_taxi(map_text: str | None = None, horizon: int = 100) -> TaxiEnvironment:

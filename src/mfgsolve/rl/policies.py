@@ -3,7 +3,9 @@
 Tabular environments get their network values materialized into a dense
 table (the state space is enumerable there), so downstream evaluation stays
 exact.  Sampled environments (taxi) get batch ``action_probs`` objects the
-particle simulator and rollout code consume directly.
+particle simulator and rollout code consume directly: they take an array of
+state codes and read the network on the environment's ``observe_codes``
+rows.
 """
 
 from __future__ import annotations
@@ -48,12 +50,11 @@ class GreedyNetworkPolicy:
         self.net = net
         self.env = env
 
-    def _q(self, t: int, states) -> np.ndarray:
-        obs = np.stack([self.env.observe(t, s) for s in states])
-        return self.net.forward(obs)
+    def _q(self, t: int, codes) -> np.ndarray:
+        return self.net.forward(self.env.observe_codes(t, codes))
 
-    def action_probs(self, t: int, states) -> np.ndarray:
-        q = self._q(t, states)
+    def action_probs(self, t: int, codes) -> np.ndarray:
+        q = self._q(t, codes)
         probs = np.zeros_like(q)
         probs[np.arange(q.shape[0]), q.argmax(axis=1)] = 1.0
         return probs
@@ -75,6 +76,6 @@ class BoltzmannNetworkPolicy(GreedyNetworkPolicy):
         if np.any(self.prior_probs <= 0.0):
             raise ValueError("prior must be strictly positive")
 
-    def action_probs(self, t: int, states) -> np.ndarray:
-        q = self._q(t, states)
+    def action_probs(self, t: int, codes) -> np.ndarray:
+        q = self._q(t, codes)
         return _softmax_with_prior(q, self.eta, self.prior_probs[None, :])

@@ -5,11 +5,13 @@ reach: replicate populations of particles are stepped forward against their
 own empirical measure (frozen at the start of each step), and episode returns
 are averaged in the MDP induced by a frozen mean field.
 
-Two environment flavors are supported: tabular ``EnvironmentSpec`` (integer
-states, vectorized) and sampled environments such as the taxi game (objects
-with ``initial_state`` / ``sample_step`` / ``mf_index`` / ``observe``, looped
-per particle).  Replicates draw from generators spawned off one seed in a
-fixed order, so results depend only on the configuration.
+Two environment flavors are supported, both stepped as whole arrays of
+particles or episodes: tabular ``EnvironmentSpec`` (integer states, sampled
+from dense tables) and sampled environments such as the taxi game (int64
+state codes from ``encode``, stepped by the environment's ``step_codes``
+kernel, with ``mf_index`` mapping codes to mean-field slots).  Replicates
+draw from generators spawned off one seed in a fixed order, so results
+depend only on the configuration.
 """
 
 from __future__ import annotations
@@ -83,18 +85,18 @@ def _particle_flow_tabular(
     return counts
 
 
+def _initial_codes(env, n: int) -> np.ndarray:
+    return np.full(n, env.encode(env.initial_state()), dtype=np.int64)
+
+
 def _particle_flow_sampled(env, policy, num_particles: int, rng) -> np.ndarray:
     counts = np.zeros((env.horizon, env.mf_size))
-    states = [env.initial_state() for _ in range(num_particles)]
+    codes = _initial_codes(env, num_particles)
     for t in range(env.horizon):
-        idx = np.fromiter((env.mf_index(s) for s in states), dtype=np.int64)
-        g = np.bincount(idx, minlength=env.mf_size) / num_particles
+        g = np.bincount(env.mf_index(codes), minlength=env.mf_size) / num_particles
         counts[t] = g
-        actions = _sample_rows(rng, np.asarray(policy.action_probs(t, states)))
-        states = [
-            env.sample_step(rng, t, s, int(a), g)[0]
-            for s, a in zip(states, actions)
-        ]
+        actions = _sample_rows(rng, np.asarray(policy.action_probs(t, codes)))
+        codes, _ = env.step_codes(rng, t, codes, actions, g)
     return counts
 
 
@@ -205,15 +207,14 @@ class SampledFrozenMdp:
     def observe(self, t: int, state) -> np.ndarray:
         return self.env.observe(t, state)
 
+    # All episodes step together through the environment's array kernel.
     def episode_returns(self, rng, policy, episodes: int) -> np.ndarray:
+        codes = _initial_codes(self.env, episodes)
         returns = np.zeros(episodes)
-        for e in range(episodes):
-            state = self.sample_initial(rng)
-            for t in range(self.horizon):
-                probs = np.asarray(policy.action_probs(t, [state]))[0]
-                action = int(_sample_rows(rng, probs[None, :])[0])
-                reward, state = self.step(rng, t, state, action)
-                returns[e] += reward
+        for t in range(self.horizon):
+            actions = _sample_rows(rng, np.asarray(policy.action_probs(t, codes)))
+            codes, rewards = self.env.step_codes(rng, t, codes, actions, self.mu[t])
+            returns += rewards
         return returns
 
 

@@ -11,6 +11,7 @@ from mfgsolve.rl import (
     BoltzmannNetworkPolicy,
     DqnHyperparams,
     DuelingQNetwork,
+    GreedyNetworkPolicy,
     ReplayBuffer,
     boltzmann_dqn_iteration,
     check_value_fitting_mode,
@@ -269,10 +270,25 @@ class TestNetworkPolicies:
         taxi = make_taxi()
         net = DuelingQNetwork(taxi.obs_dim, taxi.num_actions, hidden_width=16, seed=9)
         pol = BoltzmannNetworkPolicy(net, taxi, eta=0.3)
-        probs = pol.action_probs(0, [taxi.initial_state()] * 4)
+        codes = np.full(4, taxi.encode(taxi.initial_state()))
+        probs = pol.action_probs(0, codes)
         assert probs.shape == (4, 5)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs > 0.0)
+
+    def test_network_reads_the_observation_rows_of_the_codes(self):
+        from mfgsolve.envs import make_taxi
+
+        taxi = make_taxi()
+        net = DuelingQNetwork(taxi.obs_dim, taxi.num_actions, hidden_width=16, seed=9)
+        pol = GreedyNetworkPolicy(net, taxi)
+        rng = np.random.default_rng(3)
+        codes = rng.integers(taxi.num_states, size=6)
+        obs = np.stack([taxi.observe(4, taxi.decode(int(c))) for c in codes])
+        want = net.forward(obs).argmax(axis=1)
+        probs = pol.action_probs(4, codes)
+        np.testing.assert_array_equal(probs.argmax(axis=1), want)
+        np.testing.assert_array_equal(probs.sum(axis=1), 1.0)
 
 
 class TestSharedBestResponse:

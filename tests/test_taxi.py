@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from mfgsolve.envs.taxi import TaxiState, make_taxi
+from mfgsolve.envs.taxi import (
+    JAM_CAP,
+    JAM_SLOPE,
+    REGION_REWARDS,
+    SPAWN_PROB,
+    TaxiState,
+    make_taxi,
+)
 from mfgsolve.errors import ConfigError
 
 
@@ -32,6 +39,10 @@ class TestMapParsing:
     def test_two_starts(self):
         with pytest.raises(ConfigError):
             make_taxi("SS\n12")
+
+    def test_state_codes_must_fit_int64(self):
+        with pytest.raises(ConfigError, match="int64"):
+            make_taxi("S" + "1" * 31 + "\n" + "2" * 32)
 
 
 class TestJam:
@@ -145,3 +156,157 @@ class TestEncoding:
         assert obs.shape == (taxi.obs_dim,)
         assert obs[-1] == 7.0
         assert obs.sum() == pytest.approx(7.0 + 2.0)  # pos one-hot + dest slot + time
+
+
+class StubUniforms:
+    """Generator stand-in that hands out one given block of uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+def _pick(u, k):
+    return int(np.floor(u * k))
+
+
+def reference_step(taxi, state, action, mu_t, u):
+    """Per-taxi transition written out from the game's rules, consuming the
+    kernel's documented draws: u[0] jam, u[1] pickup destination, then the
+    spawn test and spawn tile of region 1 (u[2], u[3]) and region 2 (u[4],
+    u[5]); a choice among k options takes floor(u * k)."""
+    m = taxi.map
+    x, y = state.x, state.y
+    dest_x, dest_y, passenger, board = (
+        state.dest_x, state.dest_y, state.passenger, state.board,
+    )
+    reward = 0.0
+    if action == 0:  # W
+        here = (x, y)
+        bit = m.board_bit.get(here)
+        if passenger and here == (dest_x, dest_y):
+            reward = REGION_REWARDS[m.region_of[here]]
+            passenger, dest_x, dest_y = False, 0, 0
+        elif not passenger and bit is not None and board >> bit & 1:
+            reward = REGION_REWARDS[m.region_of[here]]
+            board &= ~(1 << bit)
+            tiles = m.region_tiles[m.region_of[here]]
+            dest_x, dest_y = tiles[_pick(u[1], len(tiles))]
+            passenger = True
+    else:
+        jam = min(JAM_CAP, JAM_SLOPE * float(mu_t[m.tile_index[(x, y)]]))
+        if u[0] >= jam:
+            dx, dy = {1: (-1, 0), 2: (1, 0), 3: (0, -1), 4: (0, 1)}[action]
+            nxt = (x + dx, y + dy)
+            if m.is_passable(*nxt) and nxt != m.start:
+                x, y = nxt
+    for region, spawn_u, tile_u in ((1, u[2], u[3]), (2, u[4], u[5])):
+        if spawn_u < SPAWN_PROB:
+            empty = [
+                pos for pos in m.region_tiles[region]
+                if not board >> m.board_bit[pos] & 1
+            ]
+            if empty:
+                board |= 1 << m.board_bit[empty[_pick(tile_u, len(empty))]]
+    return TaxiState(x, y, dest_x, dest_y, passenger, board), reward
+
+
+def random_states(taxi, rng, n):
+    """States with sparse to full boards, half of them carrying, a quarter
+    of the carrying ones on their destination."""
+    m = taxi.map
+    states = []
+    for _ in range(n):
+        density = rng.choice([0.1, 0.5, 0.9, 1.0])
+        bits = np.flatnonzero(rng.random(len(m.board_tiles)) < density)
+        board = int(sum(1 << int(b) for b in bits))
+        x, y = m.passable[rng.integers(len(m.passable))]
+        if rng.random() < 0.5:
+            states.append(TaxiState(x, y, 0, 0, False, board))
+            continue
+        dx, dy = m.board_tiles[rng.integers(len(m.board_tiles))]
+        if rng.random() < 0.25:
+            x, y = dx, dy
+        states.append(TaxiState(x, y, dx, dy, True, board))
+    return states
+
+
+class TestKernelOracle:
+    """``step_codes`` against the per-taxi rules on the same uniforms."""
+
+    def test_matches_reference_step(self, taxi):
+        rng = np.random.default_rng(12)
+        n = 4000
+        checked = 0
+        for _ in range(3):
+            states = random_states(taxi, rng, n)
+            codes = np.array([taxi.encode(s) for s in states])
+            actions = np.where(rng.random(n) < 0.5, 0, rng.integers(1, 5, size=n))
+            mu_t = rng.dirichlet(np.ones(taxi.mf_size))
+            u = rng.random((6, n))
+            # Edge draws: exact zeros, the largest double below 1, and jam
+            # draws equal to the tile's jam probability.
+            u[rng.random((6, n)) < 0.02] = 0.0
+            u[rng.random((6, n)) < 0.02] = np.nextafter(1.0, 0.0)
+            at_jam = rng.random(n) < 0.05
+            tiles = np.array([taxi.map.tile_index[(s.x, s.y)] for s in states])
+            u[0, at_jam] = np.minimum(JAM_CAP, JAM_SLOPE * mu_t[tiles[at_jam]])
+            got_codes, got_rewards = taxi.step_codes(
+                StubUniforms(u), 0, codes, actions, mu_t
+            )
+            want = [
+                reference_step(taxi, s, int(a), mu_t, u[:, i])
+                for i, (s, a) in enumerate(zip(states, actions))
+            ]
+            np.testing.assert_array_equal(
+                got_codes, [taxi.encode(s) for s, _ in want]
+            )
+            np.testing.assert_array_equal(got_rewards, [r for _, r in want])
+            checked += n
+        assert checked >= 10_000
+
+    def test_sample_step_is_the_kernel_for_one_taxi(self, taxi):
+        states = random_states(taxi, np.random.default_rng(13), 200)
+        occ = np.random.default_rng(14).dirichlet(np.ones(taxi.mf_size))
+        rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
+        for i, state in enumerate(states):
+            action = i % 5
+            nxt, reward = taxi.sample_step(rng_a, 0, state, action, occ)
+            codes, rewards = taxi.step_codes(
+                rng_b, 0, [taxi.encode(state)], [action], occ
+            )
+            assert taxi.encode(nxt) == codes[0]
+            assert reward == rewards[0] == taxi.reward_of(state, action)
+
+    def test_observation_rows_follow_layout(self, taxi):
+        m = taxi.map
+        states = random_states(taxi, np.random.default_rng(16), 500)
+        codes = np.array([taxi.encode(s) for s in states])
+        obs = taxi.observe_codes(42, codes)
+        assert obs.shape == (len(states), taxi.obs_dim)
+        num_tiles, num_bits = len(m.passable), len(m.board_tiles)
+        for row, s in zip(obs, states):
+            want = np.zeros(taxi.obs_dim)
+            want[m.tile_index[(s.x, s.y)]] = 1.0
+            slot = 1 + m.board_bit[(s.dest_x, s.dest_y)] if s.passenger else 0
+            want[num_tiles + slot] = 1.0
+            want[num_tiles + num_bits + 1] = float(s.passenger)
+            for bit in range(num_bits):
+                want[num_tiles + num_bits + 2 + bit] = s.board >> bit & 1
+            want[-1] = 42.0
+            np.testing.assert_array_equal(row, want)
+            np.testing.assert_array_equal(taxi.observe(42, s), want)
+
+    def test_jam_probability_elementwise(self, taxi):
+        occ = np.array([0.0, 0.05, 0.07, 0.2])
+        np.testing.assert_allclose(taxi.jam_probability(occ), [0.0, 0.5, 0.7, 0.7])
+
+    def test_mf_index_is_the_tile(self, taxi):
+        states = random_states(taxi, np.random.default_rng(17), 100)
+        codes = np.array([taxi.encode(s) for s in states])
+        np.testing.assert_array_equal(
+            taxi.mf_index(codes), [taxi.map.tile_index[(s.x, s.y)] for s in states]
+        )
