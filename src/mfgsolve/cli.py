@@ -128,6 +128,9 @@ def validate_config(cfg: dict) -> list[str]:
             DqnHyperparams().with_overrides(**cfg.get("dqn", {}))
         except (TypeError, ValueError) as exc:
             problems.append(f"dqn overrides invalid: {exc}")
+        for key in ("fp_policy", "fp_meanfield"):
+            if cfg.get(key):
+                problems.append(f"{key} is not supported with solver 'boltzmann_dqn'")
     if env == "taxi" and solver != "boltzmann_dqn":
         problems.append("env 'taxi' is only solvable with solver 'boltzmann_dqn'")
     if cfg.get("taxi_map") and not os.path.exists(cfg["taxi_map"]):
@@ -220,7 +223,6 @@ def run_cell(cfg: dict, eta: float | None, seed: int) -> IterationLog:
                 fp_average_meanfield=cfg["fp_meanfield"],
                 prior=prior,
                 convergence_tol=cfg["convergence_tol"],
-                seed=seed,
                 window=cfg["window"],
                 history=cfg["history"],
             ),
@@ -233,7 +235,6 @@ def run_cell(cfg: dict, eta: float | None, seed: int) -> IterationLog:
         fp_average_meanfield=cfg["fp_meanfield"],
         prior=prior,
         convergence_tol=cfg["convergence_tol"],
-        seed=seed,
         window=cfg["window"],
         history=cfg["history"],
     )

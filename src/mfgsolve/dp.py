@@ -1,17 +1,19 @@
 """Exact finite-horizon dynamic programming in the MDP induced by a fixed
-mean field.
-
-Everything here runs on dense (T, S, A) tables and is pure: optimal and
-entropy-regularized backward inductions, policy evaluation, greedy and
-softmax-with-prior policy construction, the forward state-distribution
-recursion, objective values, and the temperature threshold above which the
-regularized fixed-point map is a contraction.  Environments whose table would
-exceed ``MAX_TABLE_CELLS`` are refused; use the particle/DQN path for those.
+mean field, on dense (T, S, A) tables; everything here is pure.
 
 A flow's MDP is its rewards and kernels at every time step, ``FlowTables``.
 Each recursion over a frozen flow builds them with ``flow_tables`` unless the
 caller passes them in, so several recursions on one flow (a best response
-and a policy evaluation, say) build them once.
+and a policy evaluation, say) build them once.  There is one backward
+recursion, ``_backward``: ``optimal_q`` (hard max), ``soft_q`` (smooth max
+with a prior) and ``policy_q`` (policy-weighted sum) differ only in how they
+value the next time slice.  There is one forward pass,
+``induced_mean_field``, and one softmax-with-prior, ``softmax_with_prior``,
+which ``boltzmann_policy`` and the network policies of ``rl`` share.
+Greedy policies, objective values and the temperature threshold above which
+the regularized fixed-point map is a contraction build on these.
+Environments whose table would exceed ``MAX_TABLE_CELLS`` are refused; use
+the particle/DQN path for those.
 """
 
 from __future__ import annotations
@@ -105,11 +107,27 @@ def flow_tables(env: EnvironmentSpec, mu: MeanField) -> FlowTables:
 def _tables_of(
     env: EnvironmentSpec, mu: MeanField, tables: FlowTables | None
 ) -> FlowTables:
+    """``tables`` checked against ``env`` and ``mu``, or built if None."""
     if tables is None:
         return flow_tables(env, mu)
+    check_tabular(env)
+    _check_mu(env, mu)
     if tables.mu is not mu:
         raise ValueError("tables were built for a different mean field")
     return tables
+
+
+def _backward(tables: FlowTables, kind: str, next_value) -> QTable:
+    """The one backward recursion: ``Q[T-1] = R[T-1]`` and
+    ``Q[t] = R[t] + P[t] @ next_value(t + 1, Q[t + 1])``, where
+    ``next_value`` reduces a Q slice to its per-state values."""
+    rewards, kernels = tables.rewards, tables.kernels
+    T = len(rewards)
+    q = np.empty((T,) + rewards[0].shape)
+    q[T - 1] = rewards[T - 1]
+    for t in range(T - 2, -1, -1):
+        q[t] = rewards[t] + kernels[t] @ next_value(t + 1, q[t + 1])
+    return QTable(q, kind=kind)
 
 
 def optimal_q(
@@ -121,22 +139,8 @@ def optimal_q(
     transition-weighted hard maximum of the next slice.  ``tables``, if
     given, must be ``flow_tables(env, mu)`` for this very ``mu``.
     """
-    check_tabular(env)
-    _check_mu(env, mu)
     tabs = _tables_of(env, mu, tables)
-    T = env.horizon
-    q = np.empty((T, env.num_states, env.num_actions))
-    q[T - 1] = tabs.rewards[T - 1]
-    for t in range(T - 2, -1, -1):
-        v_next = q[t + 1].max(axis=1)
-        q[t] = tabs.rewards[t] + tabs.kernels[t] @ v_next
-    return QTable(q, kind="optimal")
-
-
-def soft_value(q_row: np.ndarray, eta: float, prior_row: np.ndarray) -> float:
-    """Stable weighted smooth maximum ``eta * log sum_a prior_a exp(q_a / eta)``."""
-    m = q_row.max()
-    return float(m + eta * np.log(np.exp((q_row - m) / eta) @ prior_row))
+    return _backward(tabs, "optimal", lambda t, q_next: q_next.max(axis=1))
 
 
 def soft_q(
@@ -152,24 +156,17 @@ def soft_q(
     so tiny temperatures degrade gracefully toward the hard maximum instead
     of overflowing.  ``tables`` as in ``optimal_q``.
     """
-    check_tabular(env)
-    _check_mu(env, mu)
     _check_pi(env, prior)
     prior.require_positive()
     eta = check_temperature(eta)
     tabs = _tables_of(env, mu, tables)
-    T = env.horizon
     qp = prior.per_time_state
-    q = np.empty((T, env.num_states, env.num_actions))
-    q[T - 1] = tabs.rewards[T - 1]
-    for t in range(T - 2, -1, -1):
-        m = q[t + 1].max(axis=1, keepdims=True)
-        v_next = (
-            m[:, 0]
-            + eta * np.log(np.sum(qp[t + 1] * np.exp((q[t + 1] - m) / eta), axis=1))
-        )
-        q[t] = tabs.rewards[t] + tabs.kernels[t] @ v_next
-    return QTable(q, kind="soft")
+
+    def smooth_max(t, q_next):
+        m = q_next.max(axis=1, keepdims=True)
+        return m[:, 0] + eta * np.log(np.sum(qp[t] * np.exp((q_next - m) / eta), axis=1))
+
+    return _backward(tabs, "soft", smooth_max)
 
 
 def policy_q(
@@ -177,17 +174,10 @@ def policy_q(
 ) -> QTable:
     """Policy-evaluation table: bootstraps with the policy-weighted next slice.
     ``tables`` as in ``optimal_q``."""
-    check_tabular(env)
-    _check_mu(env, mu)
     _check_pi(env, pi)
     tabs = _tables_of(env, mu, tables)
-    T = env.horizon
-    q = np.empty((T, env.num_states, env.num_actions))
-    q[T - 1] = tabs.rewards[T - 1]
-    for t in range(T - 2, -1, -1):
-        v_next = np.sum(pi.per_time_state[t + 1] * q[t + 1], axis=1)
-        q[t] = tabs.rewards[t] + tabs.kernels[t] @ v_next
-    return QTable(q, kind="policy")
+    p = pi.per_time_state
+    return _backward(tabs, "policy", lambda t, q_next: np.sum(p[t] * q_next, axis=1))
 
 
 def greedy_policy(q: QTable, tie: TieRule = "first_optimal") -> Policy:
@@ -211,13 +201,21 @@ def greedy_policy(q: QTable, tie: TieRule = "first_optimal") -> Policy:
     return Policy(out)
 
 
-def boltzmann_policy(q: QTable, eta: float, prior: Policy) -> Policy:
-    """Softmax-with-prior rows ``prior * exp(Q / eta)``, renormalized.
+def softmax_with_prior(q: np.ndarray, eta: float, prior: np.ndarray) -> np.ndarray:
+    """Rows ``prior * exp(q / eta)`` over the last axis, renormalized.
 
-    Computed with the per-row maximum shifted out, so very low temperatures
-    underflow to the greedy policy (weighted by the prior on exact ties)
-    rather than produce NaN.
+    The per-row maximum is shifted out, so very low temperatures underflow
+    to the greedy rows (weighted by the prior on exact ties) rather than
+    produce NaN.  ``prior`` must be positive and broadcast against ``q``.
     """
+    z = np.log(prior) + q / eta
+    z -= z.max(axis=-1, keepdims=True)
+    w = np.exp(z)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def boltzmann_policy(q: QTable, eta: float, prior: Policy) -> Policy:
+    """Softmax-with-prior policy of a Q table; see ``softmax_with_prior``."""
     eta = check_temperature(eta)
     prior.require_positive()
     if q.values.shape != prior.per_time_state.shape:
@@ -225,10 +223,7 @@ def boltzmann_policy(q: QTable, eta: float, prior: Policy) -> Policy:
             f"Q shape {q.values.shape} does not match prior "
             f"{prior.per_time_state.shape}"
         )
-    z = np.log(prior.per_time_state) + q.values / eta
-    z -= z.max(axis=2, keepdims=True)
-    w = np.exp(z)
-    return Policy(w / w.sum(axis=2, keepdims=True))
+    return Policy(softmax_with_prior(q.values, eta, prior.per_time_state))
 
 
 def induced_mean_field(env: EnvironmentSpec, pi: Policy) -> MeanField:
@@ -262,26 +257,18 @@ def regularized_objective(
     prior: Policy,
 ) -> float:
     """Expected total reward minus the temperature-weighted KL penalty
-    against the prior, accumulated along the state-visitation flow."""
-    check_tabular(env)
-    _check_mu(env, mu)
+    against the prior: ``objective_value`` with each (t, s) reward row
+    lowered by ``eta * KL(pi[t, s] || prior[t, s])``."""
     _check_pi(env, pi)
     _check_pi(env, prior)
     prior.require_positive()
     eta = check_temperature(eta)
     tabs = flow_tables(env, mu)
     p = pi.per_time_state
-    qp = prior.per_time_state
-    kl_rows = np.where(p > 0.0, p * (np.log(np.where(p > 0.0, p, 1.0)) - np.log(qp)), 0.0)
-    rho = env.initial_dist.copy()
-    total = 0.0
-    for t in range(env.horizon):
-        gain = np.sum(p[t] * tabs.rewards[t], axis=1)
-        total += float(rho @ (gain - eta * kl_rows[t].sum(axis=1)))
-        if t + 1 < env.horizon:
-            step = p[t][:, :, None] * tabs.kernels[t]
-            rho = np.einsum("s,san->n", rho, step)
-    return total
+    log_ratio = np.log(np.where(p > 0.0, p, 1.0)) - np.log(prior.per_time_state)
+    kl = np.sum(np.where(p > 0.0, p * log_ratio, 0.0), axis=2, keepdims=True)
+    rewards = tuple(r - eta * kl_t for r, kl_t in zip(tabs.rewards, kl))
+    return objective_value(env, mu, pi, tables=FlowTables(mu, rewards, tabs.kernels))
 
 
 def contractivity_threshold(

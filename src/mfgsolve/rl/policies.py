@@ -36,13 +36,6 @@ def greedy_policy_from_network(
     return dp.greedy_policy(network_q_table(net, env), tie)
 
 
-def _softmax_with_prior(q: np.ndarray, eta: float, prior: np.ndarray) -> np.ndarray:
-    z = np.log(prior) + q / eta
-    z -= z.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    return w / w.sum(axis=1, keepdims=True)
-
-
 class GreedyNetworkPolicy:
     """Argmax of network values (first index on ties) for sampled envs."""
 
@@ -78,4 +71,4 @@ class BoltzmannNetworkPolicy(GreedyNetworkPolicy):
 
     def action_probs(self, t: int, codes) -> np.ndarray:
         q = self._q(t, codes)
-        return _softmax_with_prior(q, self.eta, self.prior_probs[None, :])
+        return dp.softmax_with_prior(q, self.eta, self.prior_probs)

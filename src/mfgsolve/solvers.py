@@ -56,7 +56,6 @@ class SolverConfig:
     fp_average_meanfield: bool = False
     prior: Policy | None = None
     convergence_tol: float = 0.0
-    seed: int = 0
     window: int = 10
     history: int = 64
     initial_mean_field: MeanField | None = None
@@ -91,7 +90,6 @@ class PriorDescentConfig:
     fp_average_meanfield: bool = False
     prior: Policy | None = None
     convergence_tol: float = 0.0
-    seed: int = 0
     window: int = 10
     history: int = 64
 
@@ -294,7 +292,6 @@ def prior_descent(env: EnvironmentSpec, cfg: PriorDescentConfig) -> IterationLog
             fp_average_meanfield=cfg.fp_average_meanfield,
             prior=prior,
             convergence_tol=cfg.convergence_tol,
-            seed=cfg.seed,
             window=cfg.window,
             history=cfg.history,
             # The prior's induced flow, unless flow averaging mixed it.

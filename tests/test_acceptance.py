@@ -450,10 +450,10 @@ class TestCriterion10:
         sim_a = m.simulate_mean_field(env, pi, ParticleConfig(3, 200, 5)).per_time
         sim_b = m.simulate_mean_field(env, pi, ParticleConfig(3, 200, 5)).per_time
         solver_a = m.boltzmann_iteration(
-            env, m.SolverConfig(max_iterations=25, mode="relent", eta=0.15, seed=3)
+            env, m.SolverConfig(max_iterations=25, mode="relent", eta=0.15)
         )
         solver_b = m.boltzmann_iteration(
-            env, m.SolverConfig(max_iterations=25, mode="relent", eta=0.15, seed=3)
+            env, m.SolverConfig(max_iterations=25, mode="relent", eta=0.15)
         )
         replay_ok = bool(
             np.array_equal(sim_a, sim_b)

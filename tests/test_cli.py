@@ -61,6 +61,25 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "taxi" in out
 
+    @pytest.mark.parametrize(
+        "keys", [("fp_policy",), ("fp_meanfield",), ("fp_policy", "fp_meanfield")]
+    )
+    def test_dqn_rejects_fictitious_play(self, tmp_path, capsys, keys):
+        # The learned loop has no fictitious play; a run must not drop the
+        # keys silently.
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg, env="rps", solver="boltzmann_dqn", eta_grid=[0.5], seeds=[0],
+            **{key: True for key in keys},
+        )
+        assert cli.main(["validate", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert all(key in out for key in keys)
+        assert cli.main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys)
+        assert not (tmp_path / "results").exists()
+
     def test_exact_needs_no_grid(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, solver="exact", eta_grid=None)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_env, random_mean_field, random_policy
+from conftest import random_affine_env, random_env, random_mean_field, random_policy
 from mfgsolve import dp
 from mfgsolve.core import MeanField, Policy
 from mfgsolve.envs import make_affine_env, make_lr, make_sis, make_toy_lr
 from mfgsolve.errors import CapacityError, DimensionError
+from mfgsolve.exploitability import exploitability_exact
 
 
 @pytest.fixture
@@ -333,3 +336,162 @@ class TestSoftmaxOptimality:
                 other = random_policy(rng, env)
                 val = dp.regularized_objective(env, mu, other, eta, prior)
                 assert val <= best + 1e-9
+
+
+# The three backward loops and the forward KL loop as written out before
+# they shared one recursion, kept as the reference the shared one must
+# reproduce bit for bit (the objective up to rounding).
+
+
+def loop_optimal_q(tabs, T, S, A):
+    q = np.empty((T, S, A))
+    q[T - 1] = tabs.rewards[T - 1]
+    for t in range(T - 2, -1, -1):
+        v_next = q[t + 1].max(axis=1)
+        q[t] = tabs.rewards[t] + tabs.kernels[t] @ v_next
+    return q
+
+
+def loop_soft_q(tabs, T, S, A, eta, prior):
+    qp = prior.per_time_state
+    q = np.empty((T, S, A))
+    q[T - 1] = tabs.rewards[T - 1]
+    for t in range(T - 2, -1, -1):
+        m = q[t + 1].max(axis=1, keepdims=True)
+        v_next = (
+            m[:, 0]
+            + eta * np.log(np.sum(qp[t + 1] * np.exp((q[t + 1] - m) / eta), axis=1))
+        )
+        q[t] = tabs.rewards[t] + tabs.kernels[t] @ v_next
+    return q
+
+
+def loop_policy_q(tabs, T, S, A, pi):
+    q = np.empty((T, S, A))
+    q[T - 1] = tabs.rewards[T - 1]
+    for t in range(T - 2, -1, -1):
+        v_next = np.sum(pi.per_time_state[t + 1] * q[t + 1], axis=1)
+        q[t] = tabs.rewards[t] + tabs.kernels[t] @ v_next
+    return q
+
+
+def loop_regularized_objective(env, tabs, pi, eta, prior):
+    p = pi.per_time_state
+    qp = prior.per_time_state
+    kl_rows = np.where(p > 0.0, p * (np.log(np.where(p > 0.0, p, 1.0)) - np.log(qp)), 0.0)
+    rho = env.initial_dist.copy()
+    total = 0.0
+    for t in range(env.horizon):
+        gain = np.sum(p[t] * tabs.rewards[t], axis=1)
+        total += float(rho @ (gain - eta * kl_rows[t].sum(axis=1)))
+        if t + 1 < env.horizon:
+            step = p[t][:, :, None] * tabs.kernels[t]
+            rho = np.einsum("s,san->n", rho, step)
+    return total
+
+
+games = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "horizon": st.integers(1, 6),
+        "num_states": st.integers(1, 5),
+        "num_actions": st.integers(1, 4),
+        "mu_reward": st.booleans(),
+        "mu_transition": st.booleans(),
+    }
+)
+temperatures = st.floats(1e-3, 1e2)
+
+
+def draw_game(game):
+    """An affine game with a random flow, policy and positive prior."""
+    rng = np.random.default_rng(game["seed"])
+    env = random_affine_env(
+        rng,
+        game["horizon"],
+        game["num_states"],
+        game["num_actions"],
+        game["mu_reward"],
+        game["mu_transition"],
+    )
+    return env, random_mean_field(rng, env), random_policy(rng, env), random_policy(rng, env)
+
+
+class TestOneBackwardRecursion:
+    @settings(max_examples=150, deadline=None)
+    @given(game=games, eta=temperatures)
+    def test_matches_the_written_out_loops(self, game, eta):
+        env, mu, pi, prior = draw_game(game)
+        tabs = dp.flow_tables(env, mu)
+        shape = (env.horizon, env.num_states, env.num_actions)
+        np.testing.assert_array_equal(
+            dp.optimal_q(env, mu, tables=tabs).values, loop_optimal_q(tabs, *shape)
+        )
+        np.testing.assert_array_equal(
+            dp.soft_q(env, mu, eta, prior, tables=tabs).values,
+            loop_soft_q(tabs, *shape, eta, prior),
+        )
+        np.testing.assert_array_equal(
+            dp.policy_q(env, mu, pi, tables=tabs).values, loop_policy_q(tabs, *shape, pi)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(game=games, eta=temperatures)
+    def test_regularized_objective_matches_the_forward_loop(self, game, eta):
+        env, mu, pi, prior = draw_game(game)
+        want = loop_regularized_objective(env, dp.flow_tables(env, mu), pi, eta, prior)
+        got = dp.regularized_objective(env, mu, pi, eta, prior)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_rejects_tables_of_another_flow(self):
+        rng = np.random.default_rng(16)
+        env = random_affine_env(rng, 3, 2, 2)
+        tabs = dp.flow_tables(env, random_mean_field(rng, env))
+        with pytest.raises(ValueError, match="different mean field"):
+            dp.optimal_q(env, random_mean_field(rng, env), tables=tabs)
+
+
+class TestDpProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_actions=st.integers(1, 5),
+        eta=st.floats(1e-12, 1e-6) | st.floats(1e6, 1e12),
+    )
+    def test_softmax_rows_stay_on_the_simplex(self, seed, num_actions, eta):
+        rng = np.random.default_rng(seed)
+        q = 500.0 * rng.normal(size=(3, 4, num_actions))
+        prior = rng.dirichlet(np.ones(num_actions), size=(3, 4))
+        rows = dp.softmax_with_prior(q, eta, prior)
+        assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
+        np.testing.assert_allclose(rows.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(game=games, eta=temperatures)
+    def test_soft_q_within_entropy_bound_of_optimal_q(self, game, eta):
+        env, mu, _, _ = draw_game(game)
+        tabs = dp.flow_tables(env, mu)
+        qstar = dp.optimal_q(env, mu, tables=tabs).values
+        qs = dp.soft_q(env, mu, eta, uniform(env), tables=tabs).values
+        slack = 1e-9 * (1.0 + np.abs(qstar))
+        assert np.all(qs <= qstar + slack)
+        bound = eta * env.horizon * np.log(env.num_actions)
+        assert np.all(qs >= qstar - bound - slack)
+
+    @settings(max_examples=100, deadline=None)
+    @given(game=games, etas=st.lists(temperatures, min_size=2, max_size=4, unique=True))
+    def test_soft_q_decreases_in_eta(self, game, etas):
+        env, mu, _, prior = draw_game(game)
+        tabs = dp.flow_tables(env, mu)
+        prev = None
+        for eta in sorted(etas):
+            qs = dp.soft_q(env, mu, eta, prior, tables=tabs).values
+            if prev is not None:
+                assert np.all(qs <= prev + 1e-9 * (1.0 + np.abs(prev)))
+            prev = qs
+
+    @settings(max_examples=100, deadline=None)
+    @given(game=games)
+    def test_exploitability_is_nonnegative(self, game):
+        env, _, pi, _ = draw_game(game)
+        assert exploitability_exact(env, pi).value >= -1e-12

@@ -149,7 +149,7 @@ class TestBoltzmannIteration:
 
     def test_deterministic_replay(self):
         env = make_sis()
-        cfg = SolverConfig(max_iterations=60, mode="relent", eta=0.15, seed=7)
+        cfg = SolverConfig(max_iterations=60, mode="relent", eta=0.15)
         a = boltzmann_iteration(env, cfg)
         b = boltzmann_iteration(env, cfg)
         np.testing.assert_array_equal(a.exploitabilities, b.exploitabilities)

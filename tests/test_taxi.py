@@ -93,16 +93,30 @@ class TestMovement:
 
 class TestPassengers:
     def test_pickup_grants_region_reward_and_destination(self, taxi):
-        rng = np.random.default_rng(5)
         tile = (0, 0)  # region 1
         bit = taxi.map.board_bit[tile]
         state = TaxiState(0, 0, 0, 0, False, 1 << bit)
         assert taxi.reward_of(state, 0) == pytest.approx(1.0)
-        nxt, reward = taxi.sample_step(rng, 0, state, 0, zero_occupancy(taxi))
+        # Rows as in ``step_codes``: jam, pickup destination, then the spawn
+        # test and spawn tile of region 1 and of region 2.  No spawn fires.
+        no_spawn = np.array([[0.5], [0.5], [0.9], [0.0], [0.9], [0.0]])
+        nxt, reward = taxi.sample_step(
+            StubUniforms(no_spawn), 0, state, 0, zero_occupancy(taxi)
+        )
         assert reward == pytest.approx(1.0)
         assert nxt.passenger
-        assert not nxt.board >> bit & 1
+        assert nxt.board == 0
         assert taxi.map.region_of[(nxt.dest_x, nxt.dest_y)] == 1
+        # The same step's region-1 spawn may pick the freed tile again.
+        tiles = taxi.map.region_tiles[1]
+        refill = no_spawn.copy()
+        refill[2:4, 0] = [0.0, (tiles.index(tile) + 0.5) / len(tiles)]
+        nxt, reward = taxi.sample_step(
+            StubUniforms(refill), 0, state, 0, zero_occupancy(taxi)
+        )
+        assert reward == pytest.approx(1.0)
+        assert nxt.passenger
+        assert nxt.board == 1 << bit
 
     def test_delivery_in_region_two(self, taxi):
         rng = np.random.default_rng(6)
