@@ -125,7 +125,7 @@ def validate_config(cfg: dict) -> list[str]:
                 problems.append(f"prior_descent missing key: {key}")
     if solver == "boltzmann_dqn":
         try:
-            DqnHyperparams().with_overrides(**cfg.get("dqn", {}))
+            DqnHyperparams(**cfg.get("dqn", {}))
         except (TypeError, ValueError) as exc:
             problems.append(f"dqn overrides invalid: {exc}")
         for key in ("fp_policy", "fp_meanfield"):
@@ -198,7 +198,7 @@ def run_cell(cfg: dict, eta: float | None, seed: int) -> IterationLog:
             cfg["particles"]["num_particles"],
             seed,
         )
-        hp = DqnHyperparams().with_overrides(**cfg.get("dqn", {}))
+        hp = DqnHyperparams(**cfg.get("dqn", {}))
         return boltzmann_dqn_iteration(
             env,
             eta=eta,

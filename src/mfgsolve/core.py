@@ -41,6 +41,14 @@ def as_distribution(values, *, what: str = "distribution") -> np.ndarray:
     return arr
 
 
+def sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+    """Draw one category per row of a (n, k) probability matrix, one uniform
+    per row in row order."""
+    cum = np.cumsum(probs, axis=1)
+    u = rng.random((probs.shape[0], 1)) * cum[:, -1:]
+    return (u >= cum).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class MeanField:
     """State-distribution flow: ``per_time[t, s]`` with one row per time step."""
@@ -90,6 +98,10 @@ class Policy:
     @property
     def num_actions(self) -> int:
         return self.per_time_state.shape[2]
+
+    def action_probs(self, t: int, states) -> np.ndarray:
+        """(n, A) action rows of the given states at time t."""
+        return self.per_time_state[t][states]
 
     @property
     def is_positive(self) -> bool:

@@ -65,15 +65,18 @@ def check_tabular(env: EnvironmentSpec, max_cells: int = MAX_TABLE_CELLS) -> Non
         )
 
 
-def _check_mu(env: EnvironmentSpec, mu: MeanField) -> None:
-    if mu.per_time.shape != (env.horizon, env.num_states):
+def check_meanfield(env, mu: MeanField) -> None:
+    """Reject a flow that is not (T, mf_size) for the game; any game with the
+    sampling interface, tabular or not."""
+    if mu.per_time.shape != (env.horizon, env.mf_size):
         raise DimensionError(
             f"mean field shape {mu.per_time.shape} does not match environment "
-            f"({env.horizon}, {env.num_states})"
+            f"({env.horizon}, {env.mf_size})"
         )
 
 
-def _check_pi(env: EnvironmentSpec, pi: Policy) -> None:
+def check_policy(env, pi: Policy) -> None:
+    """Reject a tabular policy that is not (T, S, A) for the game."""
     expected = (env.horizon, env.num_states, env.num_actions)
     if pi.per_time_state.shape != expected:
         raise DimensionError(
@@ -95,7 +98,7 @@ class FlowTables:
 def flow_tables(env: EnvironmentSpec, mu: MeanField) -> FlowTables:
     """Build the flow's rewards and kernels, one table call per time step."""
     check_tabular(env)
-    _check_mu(env, mu)
+    check_meanfield(env, mu)
     T = env.horizon
     return FlowTables(
         mu=mu,
@@ -111,7 +114,7 @@ def _tables_of(
     if tables is None:
         return flow_tables(env, mu)
     check_tabular(env)
-    _check_mu(env, mu)
+    check_meanfield(env, mu)
     if tables.mu is not mu:
         raise ValueError("tables were built for a different mean field")
     return tables
@@ -156,7 +159,7 @@ def soft_q(
     so tiny temperatures degrade gracefully toward the hard maximum instead
     of overflowing.  ``tables`` as in ``optimal_q``.
     """
-    _check_pi(env, prior)
+    check_policy(env, prior)
     prior.require_positive()
     eta = check_temperature(eta)
     tabs = _tables_of(env, mu, tables)
@@ -174,7 +177,7 @@ def policy_q(
 ) -> QTable:
     """Policy-evaluation table: bootstraps with the policy-weighted next slice.
     ``tables`` as in ``optimal_q``."""
-    _check_pi(env, pi)
+    check_policy(env, pi)
     tabs = _tables_of(env, mu, tables)
     p = pi.per_time_state
     return _backward(tabs, "policy", lambda t, q_next: np.sum(p[t] * q_next, axis=1))
@@ -229,7 +232,7 @@ def boltzmann_policy(q: QTable, eta: float, prior: Policy) -> Policy:
 def induced_mean_field(env: EnvironmentSpec, pi: Policy) -> MeanField:
     """Forward pushforward of the initial distribution under the policy."""
     check_tabular(env)
-    _check_pi(env, pi)
+    check_policy(env, pi)
     T = env.horizon
     mu = np.empty((T, env.num_states))
     mu[0] = env.initial_dist
@@ -259,8 +262,8 @@ def regularized_objective(
     """Expected total reward minus the temperature-weighted KL penalty
     against the prior: ``objective_value`` with each (t, s) reward row
     lowered by ``eta * KL(pi[t, s] || prior[t, s])``."""
-    _check_pi(env, pi)
-    _check_pi(env, prior)
+    check_policy(env, pi)
+    check_policy(env, prior)
     prior.require_positive()
     eta = check_temperature(eta)
     tabs = flow_tables(env, mu)

@@ -7,6 +7,11 @@ keeps them as per-(s, a) callables; its table primitive, ``transition_table``
 reward tables the dynamic-programming routines consume.  Affine games supply
 vectorized tables (one batched matrix-vector product each); a game given only
 by its callables gets the same tables from a loop over (s, a).
+
+On those tables ``EnvironmentSpec`` also answers the sampling interface of
+the taxi game (``initial_codes``, ``step_codes``, ``observe_codes``,
+``mf_index``), so particle flows, rollouts and DQN training step every game
+the same way, with states as integer codes.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import SIMPLEX_ATOL, as_distribution
+from ..core import SIMPLEX_ATOL, as_distribution, sample_rows
 from ..errors import ConfigError, DimensionError
 
 TransitionFn = Callable[[int, int, np.ndarray], np.ndarray]
@@ -91,6 +96,48 @@ class EnvironmentSpec:
             for a in range(self.num_actions):
                 r[s, a] = self.reward(s, a, mu_t)
         return r
+
+    # Sampling interface, shared with games too large to tabulate (taxi):
+    # a state is an integer code, here the state index itself.
+
+    @property
+    def mf_size(self) -> int:
+        """Length of a state distribution: one slot per state."""
+        return self.num_states
+
+    @property
+    def obs_dim(self) -> int:
+        """Width of an ``observe_codes`` row: one-hot state, then the time."""
+        return self.num_states + 1
+
+    def mf_index(self, codes: np.ndarray) -> np.ndarray:
+        """Mean-field slot of each state: the state itself."""
+        return codes
+
+    def initial_codes(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n states drawn from the initial distribution."""
+        return sample_rows(rng, np.tile(self.initial_dist, (n, 1)))
+
+    def step_codes(
+        self,
+        rng: np.random.Generator,
+        t: int,
+        codes: np.ndarray,
+        actions: np.ndarray,
+        mu_t: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One transition of n agents at the state distribution ``mu_t``:
+        next states drawn from ``transition_table(mu_t)`` (one uniform per
+        agent) and rewards read from ``reward_table(mu_t)``."""
+        rows = self.transition_table(mu_t)[codes, actions]
+        return sample_rows(rng, rows), self.reward_table(mu_t)[codes, actions]
+
+    def observe_codes(self, t: int, codes: np.ndarray) -> np.ndarray:
+        """(n, obs_dim) network inputs of the states at time t."""
+        obs = np.zeros((len(codes), self.obs_dim))
+        obs[np.arange(len(codes)), codes] = 1.0
+        obs[:, -1] = t
+        return obs
 
     def validate_dynamics(self, num_probes: int = 1000, seed: int = 0) -> None:
         """Probe random (s, a, mu) triples; raise if any kernel row is invalid."""

@@ -3,11 +3,13 @@
 The composite agent state (position, destination, carrying flag, board of
 waiting passengers) spans ~2^27 configurations on the default map, so nothing
 tabular is ever materialized.  A state is an int64 code, the bijective
-``encode``/``decode`` of a ``TaxiState``, and one array kernel
-(``step_codes``, with ``observe_codes`` for network inputs) steps any number
-of taxis at once; the single-``TaxiState`` methods call it with one taxi.
-The population enters only through the per-tile occupancy (the chance of
-being stuck in a jam on a tile grows with the share of taxis on it).
+``encode``/``decode`` of a ``TaxiState``.  The game answers the same
+sampling interface as ``EnvironmentSpec`` (``initial_codes``,
+``step_codes``, ``observe_codes``, ``mf_index``): one array kernel steps any
+number of taxis at once, be it a particle population, a batch of evaluation
+episodes or the one taxi of a DQN training.  The population enters only
+through the per-tile occupancy (the chance of being stuck in a jam on a tile
+grows with the share of taxis on it).
 
 Map format: newline-separated rows over the alphabet {S, H, 1, 2} with
 exactly one start tile S, impassable walls H, and region tiles 1/2.
@@ -167,6 +169,10 @@ class TaxiEnvironment:
         sx, sy = self.map.start
         return TaxiState(sx, sy, 0, 0, False, 0)
 
+    def initial_codes(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n taxis on the start tile with an empty board (no draw)."""
+        return np.full(n, self.encode(self.initial_state()), dtype=np.int64)
+
     def mf_index(self, codes: np.ndarray) -> np.ndarray:
         """Tile (mean-field) index of each state code."""
         return codes % self.mf_size
@@ -208,9 +214,6 @@ class TaxiEnvironment:
         obs[:, -1] = t
         return obs
 
-    def observe(self, t: int, state: TaxiState) -> np.ndarray:
-        return self.observe_codes(t, [self.encode(state)])[0]
-
     # -- dynamics ----------------------------------------------------------
 
     def jam_probability(self, tile_occupancy):
@@ -227,11 +230,6 @@ class TaxiEnvironment:
         pickup = wait & (dest == 0) & (board & self._tile_mask[pos] != 0)
         reward = np.where(delivery | pickup, self._tile_reward[pos], 0.0)
         return delivery, pickup, reward
-
-    def reward_of(self, state: TaxiState, action: int) -> float:
-        """Deterministic event reward: pickup or delivery via W, else 0."""
-        fields = self._fields(np.array([self.encode(state)]))
-        return float(self._events(*fields, np.array([action]))[2][0])
 
     def step_codes(
         self,
@@ -276,20 +274,6 @@ class TaxiEnvironment:
         spawned = self._region_masks[self._region_rows, slot]
         board = board + np.where(u[2::2].T < SPAWN_PROB, spawned, 0).sum(axis=1)
         return (board * self._dest_slots + dest) * self.mf_size + pos, reward
-
-    def sample_step(
-        self,
-        rng: np.random.Generator,
-        t: int,
-        state: TaxiState,
-        action: int,
-        mu_t: np.ndarray,
-    ) -> tuple[TaxiState, float]:
-        """``step_codes`` for one taxi."""
-        codes, rewards = self.step_codes(
-            rng, t, np.array([self.encode(state)]), np.array([action]), mu_t
-        )
-        return self.decode(int(codes[0])), float(rewards[0])
 
 
 def make_taxi(map_text: str | None = None, horizon: int = 100) -> TaxiEnvironment:

@@ -1,5 +1,5 @@
 from .dqn import DqnHyperparams, ReplayBuffer, dqn_train, epsilon_at
-from .loop import boltzmann_dqn_iteration, check_value_fitting_mode
+from .loop import boltzmann_dqn_iteration
 from .network import Adam, DuelingQNetwork, clip_gradients
 from .policies import (
     BoltzmannNetworkPolicy,
@@ -14,7 +14,6 @@ __all__ = [
     "dqn_train",
     "epsilon_at",
     "boltzmann_dqn_iteration",
-    "check_value_fitting_mode",
     "Adam",
     "DuelingQNetwork",
     "clip_gradients",

@@ -1,6 +1,11 @@
 """Q-learning with replay, a target network, and an epsilon-greedy schedule,
 trained on the single-agent MDP induced by a frozen mean field.
 
+The agent is stepped through the game's sampling interface with one agent
+(``initial_codes``, ``step_codes`` at the frozen flow's row, and
+``observe_codes`` for the network inputs), the same interface the particle
+simulator uses, so tabular games and the taxi game train alike.
+
 One environment step is followed by one minibatch descent step; updates start
 once the buffer holds a full batch, the target network is synced on a fixed
 step period, and terminal transitions (the last step of the finite horizon)
@@ -9,10 +14,12 @@ carry no bootstrap term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import MeanField
+from ..dp import check_meanfield
 from ..errors import TrainingDivergedError
 from .network import Adam, DuelingQNetwork, clip_gradients
 
@@ -42,9 +49,6 @@ class DqnHyperparams:
             raise ValueError("all hyperparameters must be positive")
         if self.epsilon_end > self.epsilon_start:
             raise ValueError("epsilon_end must not exceed epsilon_start")
-
-    def with_overrides(self, **kwargs) -> "DqnHyperparams":
-        return replace(self, **kwargs)
 
 
 def epsilon_at(step: int, total_steps: int, hp: DqnHyperparams) -> float:
@@ -93,40 +97,40 @@ class ReplayBuffer:
         )
 
 
-def dqn_train(mdp, hp: DqnHyperparams, seed: int) -> DuelingQNetwork:
-    """Train a dueling Q-network on a frozen-flow MDP.
+def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetwork:
+    """Train a dueling Q-network on the MDP of ``env`` frozen at the flow ``mu``.
 
-    ``mdp`` provides ``horizon``, ``num_actions``, ``obs_dim``,
-    ``sample_initial``, ``step`` and ``observe``.  Raises
-    ``TrainingDivergedError`` as soon as the loss or parameters go non-finite.
+    Raises ``TrainingDivergedError`` as soon as the loss or parameters go
+    non-finite.
     """
+    check_meanfield(env, mu)
     init_ss, run_ss = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(run_ss)
     net = DuelingQNetwork(
-        mdp.obs_dim,
-        mdp.num_actions,
+        env.obs_dim,
+        env.num_actions,
         hp.hidden_width,
         seed=init_ss,
         metadata={"seed": seed},
     )
     target = net.params_copy()
-    target_net = DuelingQNetwork(mdp.obs_dim, mdp.num_actions, hp.hidden_width)
+    target_net = DuelingQNetwork(env.obs_dim, env.num_actions, hp.hidden_width)
     target_net.set_params(target)
     opt = Adam(hp.learning_rate)
-    buffer = ReplayBuffer(hp.replay_capacity, mdp.obs_dim)
-    total_steps = hp.epochs * mdp.horizon
+    buffer = ReplayBuffer(hp.replay_capacity, env.obs_dim)
+    total_steps = hp.epochs * env.horizon
     step = 0
     for _ in range(hp.epochs):
-        state = mdp.sample_initial(rng)
-        obs = mdp.observe(0, state)
-        for t in range(mdp.horizon):
+        code = env.initial_codes(rng, 1)
+        obs = env.observe_codes(0, code)
+        for t in range(env.horizon):
             if rng.random() < epsilon_at(step, total_steps, hp):
-                action = int(rng.integers(mdp.num_actions))
+                action = int(rng.integers(env.num_actions))
             else:
-                action = int(np.argmax(net.forward(obs[None])[0]))
-            reward, nxt = mdp.step(rng, t, state, action)
-            next_obs = mdp.observe(t + 1, nxt)
-            buffer.add(obs, action, reward, next_obs, t == mdp.horizon - 1)
+                action = int(np.argmax(net.forward(obs)[0]))
+            nxt, reward = env.step_codes(rng, t, code, np.array([action]), mu.at(t))
+            next_obs = env.observe_codes(t + 1, nxt)
+            buffer.add(obs[0], action, reward[0], next_obs[0], t == env.horizon - 1)
             if len(buffer) >= hp.batch_size:
                 b_obs, b_act, b_rew, b_next, b_term = buffer.sample(rng, hp.batch_size)
                 bootstrap = target_net.forward(b_next).max(axis=1)
@@ -142,5 +146,5 @@ def dqn_train(mdp, hp: DqnHyperparams, seed: int) -> DuelingQNetwork:
             step += 1
             if step % hp.target_update_every == 0:
                 target_net.set_params(net.params_copy())
-            state, obs = nxt, next_obs
+            code, obs = nxt, next_obs
     return net

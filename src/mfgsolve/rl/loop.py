@@ -22,7 +22,7 @@ from ..core import Policy, flow_distance
 from ..envs.base import EnvironmentSpec
 from ..errors import ConfigError
 from ..exploitability import exploitability_exact, exploitability_stochastic
-from ..sim import FixedActionPolicy, ParticleConfig, frozen_mdp, simulate_mean_field
+from ..sim import FixedActionPolicy, ParticleConfig, simulate_mean_field
 from ..solvers import IterationLog, IterationRecord
 from .dqn import DqnHyperparams, dqn_train
 from .policies import (
@@ -31,25 +31,6 @@ from .policies import (
     greedy_policy_from_network,
     network_q_table,
 )
-
-
-def check_value_fitting_mode(mode: str) -> None:
-    """Reject entropy-regularized value fitting with function approximation.
-
-    Exponentiating approximated action values inside the smooth-maximum
-    recursion fails quickly in floating point, so only the plain Bellman
-    recursion with softmax policies is supported when a network stands in
-    for the value function.  Tabular 'relent' solving is unaffected.
-    """
-    if mode == "relent":
-        raise ConfigError(
-            "relent mode is not available with Q-network approximation: "
-            "fitting the entropy-regularized value function with a network "
-            "is numerically unstable (log-exponential of approximated "
-            "values); use mode='boltzmann', or the tabular relent solver"
-        )
-    if mode != "boltzmann":
-        raise ConfigError(f"unknown approximation mode {mode!r}")
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:
@@ -65,7 +46,6 @@ def boltzmann_dqn_iteration(
     hp: DqnHyperparams | None = None,
     seed: int = 0,
     eval_episodes: int = 500,
-    mode: str = "boltzmann",
 ) -> IterationLog:
     """Run the learned softmax fixed-point loop and log exploitability.
 
@@ -73,8 +53,12 @@ def boltzmann_dqn_iteration(
     temperature-zero reference point).  ``prior`` is a tabular Policy for
     tabular environments or a single action distribution for sampled ones
     (default uniform in both cases).
+
+    Only the plain Bellman recursion with softmax policies is offered here,
+    not the entropy-regularized ('relent') value fitting: exponentiating
+    approximated action values inside the smooth-maximum recursion fails
+    quickly in floating point.  Tabular 'relent' solving is unaffected.
     """
-    check_value_fitting_mode(mode)
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
     if eta < 0.0:
@@ -108,7 +92,7 @@ def boltzmann_dqn_iteration(
         start = time.perf_counter()
         train_ss, sim_ss, eval_ss = iter_ss[k].spawn(3)
         if tabular or k == 0:
-            net = dqn_train(frozen_mdp(env, mu), hp, seed=_seed_int(train_ss))
+            net = dqn_train(env, mu, hp, seed=_seed_int(train_ss))
         if tabular:
             qtab = network_q_table(net, env)
             if eta > 0.0:

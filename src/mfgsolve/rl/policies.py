@@ -1,11 +1,10 @@
 """Adapters that turn a trained Q-network into policies.
 
-Tabular environments get their network values materialized into a dense
-table (the state space is enumerable there), so downstream evaluation stays
-exact.  Sampled environments (taxi) get batch ``action_probs`` objects the
-particle simulator and rollout code consume directly: they take an array of
-state codes and read the network on the environment's ``observe_codes``
-rows.
+The network always reads the game's ``observe_codes`` rows.  Tabular games
+get its values materialized into a dense table at every (t, s) (the state
+space is enumerable there), so downstream evaluation stays exact.  Sampled
+games (taxi) get batch ``action_probs`` objects the particle simulator and
+rollout code consume directly: they take an array of state codes.
 """
 
 from __future__ import annotations
@@ -19,13 +18,9 @@ from .network import DuelingQNetwork
 
 
 def network_q_table(net: DuelingQNetwork, env: EnvironmentSpec) -> dp.QTable:
-    """Evaluate the network at every (t, s) one-hot observation."""
-    obs = np.zeros((env.horizon * env.num_states, env.num_states + 1))
-    for t in range(env.horizon):
-        for s in range(env.num_states):
-            row = t * env.num_states + s
-            obs[row, s] = 1.0
-            obs[row, -1] = float(t)
+    """Evaluate the network at the observation of every (t, s)."""
+    states = np.arange(env.num_states)
+    obs = np.concatenate([env.observe_codes(t, states) for t in range(env.horizon)])
     q = net.forward(obs).reshape(env.horizon, env.num_states, env.num_actions)
     return dp.QTable(q, kind="policy")
 

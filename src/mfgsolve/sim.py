@@ -5,13 +5,14 @@ reach: replicate populations of particles are stepped forward against their
 own empirical measure (frozen at the start of each step), and episode returns
 are averaged in the MDP induced by a frozen mean field.
 
-Two environment flavors are supported, both stepped as whole arrays of
-particles or episodes: tabular ``EnvironmentSpec`` (integer states, sampled
-from dense tables) and sampled environments such as the taxi game (int64
-state codes from ``encode``, stepped by the environment's ``step_codes``
-kernel, with ``mf_index`` mapping codes to mean-field slots).  Replicates
-draw from generators spawned off one seed in a fixed order, so results
-depend only on the configuration.
+Every game is stepped through one sampling interface, as whole arrays of
+particles or episodes: states are integer codes (the state of an
+``EnvironmentSpec``, the ``encode`` code of a taxi), ``initial_codes`` draws
+the start, ``step_codes`` makes one transition at a state distribution and
+``mf_index`` maps codes to mean-field slots.  A policy is anything with
+``action_probs(t, codes)``: a tabular ``Policy``, a ``FixedActionPolicy`` or
+a network policy.  Replicates draw from generators spawned off one seed in a
+fixed order, so results depend only on the configuration.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeanField, Policy
-from .envs.base import EnvironmentSpec
-from .errors import DimensionError
+from .core import MeanField, Policy, sample_rows
+from .dp import check_meanfield, check_policy
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,9 @@ class EmpiricalMeanField(MeanField):
     seed: int = 0
 
 
-def _sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """Draw one category per row of a (n, k) probability matrix."""
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random((probs.shape[0], 1)) * cum[:, -1:]
-    return (u >= cum).sum(axis=1)
-
-
 class FixedActionPolicy:
-    """One action distribution at every time and state, for sampled
-    (non-tabular) environments; uniform unless ``probs`` is given."""
+    """One action distribution at every time and state; uniform unless
+    ``probs`` is given."""
 
     def __init__(self, num_actions: int, probs=None):
         uniform = np.full(num_actions, 1.0 / num_actions)
@@ -69,33 +62,13 @@ class FixedActionPolicy:
         return np.tile(self.probs, (len(states), 1))
 
 
-def _particle_flow_tabular(
-    env: EnvironmentSpec, pi: Policy, num_particles: int, rng: np.random.Generator
-) -> np.ndarray:
-    counts = np.zeros((env.horizon, env.num_states))
-    states = _sample_rows(
-        rng, np.tile(env.initial_dist, (num_particles, 1))
-    )
-    for t in range(env.horizon):
-        g = np.bincount(states, minlength=env.num_states) / num_particles
-        counts[t] = g
-        actions = _sample_rows(rng, pi.per_time_state[t][states])
-        kernel = env.transition_table(g)
-        states = _sample_rows(rng, kernel[states, actions])
-    return counts
-
-
-def _initial_codes(env, n: int) -> np.ndarray:
-    return np.full(n, env.encode(env.initial_state()), dtype=np.int64)
-
-
-def _particle_flow_sampled(env, policy, num_particles: int, rng) -> np.ndarray:
+def _particle_flow(env, pi, num_particles: int, rng: np.random.Generator) -> np.ndarray:
     counts = np.zeros((env.horizon, env.mf_size))
-    codes = _initial_codes(env, num_particles)
+    codes = env.initial_codes(rng, num_particles)
     for t in range(env.horizon):
         g = np.bincount(env.mf_index(codes), minlength=env.mf_size) / num_particles
         counts[t] = g
-        actions = _sample_rows(rng, np.asarray(policy.action_probs(t, codes)))
+        actions = sample_rows(rng, pi.action_probs(t, codes))
         codes, _ = env.step_codes(rng, t, codes, actions, g)
     return counts
 
@@ -107,20 +80,15 @@ def simulate_mean_field(env, pi, cfg: ParticleConfig) -> EmpiricalMeanField:
     particles see the same empirical measure (synchronous update).  Particles
     interact only within their replicate.
     """
+    if isinstance(pi, Policy):
+        check_policy(env, pi)
     streams = [
         np.random.default_rng(s)
         for s in np.random.SeedSequence(cfg.seed).spawn(cfg.num_meanfields)
     ]
-    tabular = isinstance(env, EnvironmentSpec)
-    if tabular and not isinstance(pi, Policy):
-        raise DimensionError("tabular environments need a tabular Policy")
     total = None
     for rng in streams:
-        flow = (
-            _particle_flow_tabular(env, pi, cfg.num_particles, rng)
-            if tabular
-            else _particle_flow_sampled(env, pi, cfg.num_particles, rng)
-        )
+        flow = _particle_flow(env, pi, cfg.num_particles, rng)
         total = flow if total is None else total + flow
     return EmpiricalMeanField(
         per_time=total / cfg.num_meanfields,
@@ -130,111 +98,25 @@ def simulate_mean_field(env, pi, cfg: ParticleConfig) -> EmpiricalMeanField:
     )
 
 
-class TabularFrozenMdp:
-    """Single-agent MDP with transitions/rewards evaluated at a frozen flow.
-
-    Observations are the one-hot state with the raw time appended, matching
-    what the Q-network consumes.
-    """
-
-    def __init__(self, env: EnvironmentSpec, mu: MeanField):
-        if mu.per_time.shape != (env.horizon, env.num_states):
-            raise DimensionError(
-                f"mean field shape {mu.per_time.shape} does not match "
-                f"({env.horizon}, {env.num_states})"
-            )
-        self.env = env
-        self.horizon = env.horizon
-        self.num_actions = env.num_actions
-        self.obs_dim = env.num_states + 1
-        self._rewards = np.stack(
-            [env.reward_table(mu.at(t)) for t in range(env.horizon)]
-        )
-        self._kernels = np.stack(
-            [env.transition_table(mu.at(t)) for t in range(env.horizon)]
-        )
-
-    def sample_initial(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.env.num_states, p=self.env.initial_dist))
-
-    def step(self, rng: np.random.Generator, t: int, state: int, action: int):
-        reward = float(self._rewards[t, state, action])
-        nxt = int(rng.choice(self.env.num_states, p=self._kernels[t, state, action]))
-        return reward, nxt
-
-    def observe(self, t: int, state) -> np.ndarray:
-        obs = np.zeros(self.obs_dim)
-        obs[state] = 1.0
-        obs[-1] = float(t)
-        return obs
-
-    # Vectorized rollout of many episodes at once (same distribution as
-    # stepping them one by one; a single stream in fixed order).
-    def episode_returns(
-        self, rng: np.random.Generator, pi: Policy, episodes: int
-    ) -> np.ndarray:
-        states = _sample_rows(rng, np.tile(self.env.initial_dist, (episodes, 1)))
-        returns = np.zeros(episodes)
-        for t in range(self.horizon):
-            actions = _sample_rows(rng, pi.per_time_state[t][states])
-            returns += self._rewards[t, states, actions]
-            states = _sample_rows(rng, self._kernels[t, states, actions])
-        return returns
-
-
-class SampledFrozenMdp:
-    """Frozen-flow MDP view of a sampled environment (e.g. taxi)."""
-
-    def __init__(self, env, mean_field: MeanField):
-        if mean_field.per_time.shape != (env.horizon, env.mf_size):
-            raise DimensionError(
-                f"mean field shape {mean_field.per_time.shape} does not match "
-                f"({env.horizon}, {env.mf_size})"
-            )
-        self.env = env
-        self.mu = mean_field.per_time
-        self.horizon = env.horizon
-        self.num_actions = env.num_actions
-        self.obs_dim = env.obs_dim
-
-    def sample_initial(self, rng: np.random.Generator):
-        return self.env.initial_state()
-
-    def step(self, rng: np.random.Generator, t: int, state, action: int):
-        nxt, reward = self.env.sample_step(rng, t, state, action, self.mu[t])
-        return reward, nxt
-
-    def observe(self, t: int, state) -> np.ndarray:
-        return self.env.observe(t, state)
-
-    # All episodes step together through the environment's array kernel.
-    def episode_returns(self, rng, policy, episodes: int) -> np.ndarray:
-        codes = _initial_codes(self.env, episodes)
-        returns = np.zeros(episodes)
-        for t in range(self.horizon):
-            actions = _sample_rows(rng, np.asarray(policy.action_probs(t, codes)))
-            codes, rewards = self.env.step_codes(rng, t, codes, actions, self.mu[t])
-            returns += rewards
-        return returns
-
-
-def frozen_mdp(env, mu: MeanField):
-    """Build the frozen-flow MDP for either environment flavor."""
-    if isinstance(env, EnvironmentSpec):
-        return TabularFrozenMdp(env, mu)
-    return SampledFrozenMdp(env, mu)
-
-
 def evaluate_policy_stochastic(
     env, mu: MeanField, pi, episodes: int, seed: int
 ) -> tuple[float, float]:
     """Mean episode return of the policy in the frozen-flow MDP, with the
-    standard error of the mean (0 by convention for a single episode)."""
+    standard error of the mean (0 by convention for a single episode).
+
+    All episodes step together, drawing from one stream in a fixed order."""
     if episodes < 1:
         raise ValueError("need at least one episode")
-    mdp = frozen_mdp(env, mu)
+    check_meanfield(env, mu)
+    if isinstance(pi, Policy):
+        check_policy(env, pi)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    returns = mdp.episode_returns(rng, pi, episodes)
+    codes = env.initial_codes(rng, episodes)
+    returns = np.zeros(episodes)
+    for t in range(env.horizon):
+        actions = sample_rows(rng, pi.action_probs(t, codes))
+        codes, rewards = env.step_codes(rng, t, codes, actions, mu.at(t))
+        returns += rewards
     mean = float(returns.mean())
     if episodes == 1:
         return mean, 0.0

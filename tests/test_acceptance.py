@@ -18,7 +18,7 @@ from mfgsolve import dp
 from mfgsolve.core import MeanField, Policy
 from mfgsolve.rl import DqnHyperparams, DuelingQNetwork, dqn_train, network_q_table
 from mfgsolve.rl.loop import boltzmann_dqn_iteration
-from mfgsolve.sim import ParticleConfig, TabularFrozenMdp
+from mfgsolve.sim import ParticleConfig
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -323,11 +323,10 @@ class TestCriterion9:
         pi = Policy.uniform(env.horizon, env.num_states, env.num_actions)
         mu = dp.induced_mean_field(env, pi)
         qstar = dp.optimal_q(env, mu).values
-        mdp = TabularFrozenMdp(env, mu)
         reachable = [(0, 0), (1, 1), (1, 2), (1, 3)]
         hits = 0
         for seed in range(5):
-            qnet = network_q_table(dqn_train(mdp, DqnHyperparams(), seed=seed), env).values
+            qnet = network_q_table(dqn_train(env, mu, DqnHyperparams(), seed=seed), env).values
             hits += all(
                 qstar[t, s, qnet[t, s].argmax()] >= qstar[t, s].max() - 1e-9
                 for t, s in reachable

@@ -80,6 +80,16 @@ class TestValidate:
         assert all(key in err for key in keys)
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("dqn", [{"epochz": 3}, {"epochs": 0}])
+    def test_invalid_dqn_overrides(self, tmp_path, capsys, dqn):
+        # An unknown key and a bad value are both config errors.
+        cfg = tmp_path / "cfg.json"
+        write_config(
+            cfg, env="rps", solver="boltzmann_dqn", eta_grid=[0.5], seeds=[0], dqn=dqn
+        )
+        assert cli.main(["validate", str(cfg)]) == 1
+        assert "dqn overrides invalid" in capsys.readouterr().out
+
     def test_exact_needs_no_grid(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, solver="exact", eta_grid=None)

@@ -14,13 +14,12 @@ from mfgsolve.rl import (
     GreedyNetworkPolicy,
     ReplayBuffer,
     boltzmann_dqn_iteration,
-    check_value_fitting_mode,
     clip_gradients,
     dqn_train,
     epsilon_at,
     network_q_table,
 )
-from mfgsolve.sim import ParticleConfig, TabularFrozenMdp
+from mfgsolve.sim import ParticleConfig
 
 
 class TestNetwork:
@@ -149,13 +148,6 @@ class TestHyperparams:
 
 
 class TestModeGuard:
-    def test_relent_with_networks_rejected(self):
-        with pytest.raises(ConfigError, match="numerically unstable"):
-            check_value_fitting_mode("relent")
-
-    def test_boltzmann_accepted(self):
-        check_value_fitting_mode("boltzmann")
-
     def test_relent_tabular_still_works(self):
         from mfgsolve.solvers import SolverConfig, boltzmann_iteration
 
@@ -174,11 +166,11 @@ class TestDqnTraining:
             reward_base=np.zeros((1, 1)),
             transition_base=np.ones((1, 1, 1)),
         )
-        mdp = TabularFrozenMdp(env, dp.induced_mean_field(env, Policy.uniform(2, 1, 1)))
+        mu = dp.induced_mean_field(env, Policy.uniform(2, 1, 1))
         hp = DqnHyperparams(
             epochs=300, batch_size=16, hidden_width=32, target_update_every=50
         )
-        net = dqn_train(mdp, hp, seed=0)
+        net = dqn_train(env, mu, hp, seed=0)
         q = network_q_table(net, env).values
         assert np.abs(q).max() < 0.05
 
@@ -187,7 +179,7 @@ class TestDqnTraining:
         pi = Policy.uniform(env.horizon, env.num_states, env.num_actions)
         mu = dp.induced_mean_field(env, pi)
         qstar = dp.optimal_q(env, mu).values
-        net = dqn_train(TabularFrozenMdp(env, mu), DqnHyperparams(), seed=0)
+        net = dqn_train(env, mu, DqnHyperparams(), seed=0)
         qnet = network_q_table(net, env).values
         reachable = [(0, 0), (1, 1), (1, 2), (1, 3)]
         for t, s in reachable:
@@ -200,10 +192,9 @@ class TestDqnTraining:
         pi = Policy.uniform(env.horizon, 2, 2)
         mu = dp.induced_mean_field(env, pi)
         qstar = dp.optimal_q(env, mu).values
-        mdp = TabularFrozenMdp(env, mu)
         hits = 0
         for seed in range(5):
-            net = dqn_train(mdp, DqnHyperparams(), seed=seed)
+            net = dqn_train(env, mu, DqnHyperparams(), seed=seed)
             qnet = network_q_table(net, env).values
             mae = np.abs(qnet - qstar).mean()
             hits += mae < 0.2
@@ -253,11 +244,6 @@ class TestBoltzmannDqnIteration:
         env = make_rps()
         with pytest.raises(ConfigError):
             boltzmann_dqn_iteration(
-                env, eta=0.5, prior=None, iterations=1,
-                particles=ParticleConfig(1, 10, 0), mode="relent",
-            )
-        with pytest.raises(ConfigError):
-            boltzmann_dqn_iteration(
                 env, eta=-1.0, prior=None, iterations=1,
                 particles=ParticleConfig(1, 10, 0),
             )
@@ -284,7 +270,7 @@ class TestNetworkPolicies:
         pol = GreedyNetworkPolicy(net, taxi)
         rng = np.random.default_rng(3)
         codes = rng.integers(taxi.num_states, size=6)
-        obs = np.stack([taxi.observe(4, taxi.decode(int(c))) for c in codes])
+        obs = np.concatenate([taxi.observe_codes(4, [c]) for c in codes])
         want = net.forward(obs).argmax(axis=1)
         probs = pol.action_probs(4, codes)
         np.testing.assert_array_equal(probs.argmax(axis=1), want)
@@ -304,9 +290,9 @@ class TestSharedBestResponse:
         train = dqn.dqn_train
         expl = loop.exploitability_stochastic
 
-        def recording_train(mdp, hp, seed):
-            net = train(mdp, hp, seed)
-            trainings.append((mdp, net))
+        def recording_train(env, mu, hp, seed):
+            net = train(env, mu, hp, seed)
+            trainings.append((mu, net))
             return net
 
         def recording_expl(env, pi, *args, **kwargs):
@@ -338,8 +324,8 @@ class TestSharedBestResponse:
 
     def test_next_flow_and_network_are_the_best_response(self, taxi_run):
         log, trainings, calls = taxi_run
-        trained_on = {id(net): mdp.mu for mdp, net in trainings}
-        np.testing.assert_array_equal(trainings[0][0].mu, log.meanfield_history[0])
+        trained_on = {id(net): mu.per_time for mu, net in trainings}
+        np.testing.assert_array_equal(trainings[0][0].per_time, log.meanfield_history[0])
         for k, (_, report) in enumerate(calls):
             np.testing.assert_array_equal(report.meanfield.per_time, log.meanfield_history[k + 1])
             np.testing.assert_array_equal(

@@ -21,6 +21,23 @@ def zero_occupancy(taxi):
     return np.zeros(taxi.mf_size)
 
 
+def step_one(taxi, rng, state, action, mu_t):
+    """``step_codes`` for one taxi: the next state and the event reward."""
+    codes, rewards = taxi.step_codes(
+        rng, 0, np.array([taxi.encode(state)]), np.array([action]), mu_t
+    )
+    return taxi.decode(int(codes[0])), float(rewards[0])
+
+
+def reward_of(taxi, state, action):
+    """Event reward of one taxi's action; it does not depend on the draws."""
+    return step_one(taxi, np.random.default_rng(0), state, action, zero_occupancy(taxi))[1]
+
+
+def observe_one(taxi, t, state):
+    return taxi.observe_codes(t, [taxi.encode(state)])[0]
+
+
 class TestMapParsing:
     def test_default_map(self, taxi):
         assert taxi.map.start == (3, 1)
@@ -58,26 +75,26 @@ class TestMovement:
         rng = np.random.default_rng(0)
         state = taxi.initial_state()
         for _ in range(20):
-            nxt, _ = taxi.sample_step(rng, 0, state, 0, zero_occupancy(taxi))
+            nxt, _ = step_one(taxi, rng, state, 0, zero_occupancy(taxi))
             assert (nxt.x, nxt.y) == (state.x, state.y)
             state = nxt
 
     def test_wall_blocks(self, taxi):
         rng = np.random.default_rng(1)
         start = taxi.initial_state()
-        nxt, _ = taxi.sample_step(rng, 0, start, 3, zero_occupancy(taxi))  # L into H
+        nxt, _ = step_one(taxi, rng, start, 3, zero_occupancy(taxi))  # L into H
         assert (nxt.x, nxt.y) == (start.x, start.y)
 
     def test_cannot_reenter_start(self, taxi):
         rng = np.random.default_rng(2)
         above = TaxiState(2, 1, 0, 0, False, 0)
-        nxt, _ = taxi.sample_step(rng, 0, above, 2, zero_occupancy(taxi))  # D toward S
+        nxt, _ = step_one(taxi, rng, above, 2, zero_occupancy(taxi))  # D toward S
         assert (nxt.x, nxt.y) == (2, 1)
 
     def test_free_move_without_jam(self, taxi):
         rng = np.random.default_rng(3)
         start = taxi.initial_state()
-        nxt, _ = taxi.sample_step(rng, 0, start, 1, zero_occupancy(taxi))  # U
+        nxt, _ = step_one(taxi, rng, start, 1, zero_occupancy(taxi))  # U
         assert (nxt.x, nxt.y) == (2, 1)
 
     def test_full_jam_blocks_motion(self, taxi):
@@ -86,7 +103,7 @@ class TestMovement:
         occ[taxi.map.tile_index[(3, 1)]] = 0.07  # jam probabilitycapped at 0.7
         moved = 0
         for _ in range(400):
-            nxt, _ = taxi.sample_step(rng, 0, taxi.initial_state(), 1, occ)
+            nxt, _ = step_one(taxi, rng, taxi.initial_state(), 1, occ)
             moved += (nxt.x, nxt.y) != (3, 1)
         assert 0.2 < moved / 400 < 0.4  # ~30% move through a 0.7 jam
 
@@ -96,12 +113,12 @@ class TestPassengers:
         tile = (0, 0)  # region 1
         bit = taxi.map.board_bit[tile]
         state = TaxiState(0, 0, 0, 0, False, 1 << bit)
-        assert taxi.reward_of(state, 0) == pytest.approx(1.0)
+        assert reward_of(taxi, state, 0) == pytest.approx(1.0)
         # Rows as in ``step_codes``: jam, pickup destination, then the spawn
         # test and spawn tile of region 1 and of region 2.  No spawn fires.
         no_spawn = np.array([[0.5], [0.5], [0.9], [0.0], [0.9], [0.0]])
-        nxt, reward = taxi.sample_step(
-            StubUniforms(no_spawn), 0, state, 0, zero_occupancy(taxi)
+        nxt, reward = step_one(
+            taxi, StubUniforms(no_spawn), state, 0, zero_occupancy(taxi)
         )
         assert reward == pytest.approx(1.0)
         assert nxt.passenger
@@ -111,8 +128,8 @@ class TestPassengers:
         tiles = taxi.map.region_tiles[1]
         refill = no_spawn.copy()
         refill[2:4, 0] = [0.0, (tiles.index(tile) + 0.5) / len(tiles)]
-        nxt, reward = taxi.sample_step(
-            StubUniforms(refill), 0, state, 0, zero_occupancy(taxi)
+        nxt, reward = step_one(
+            taxi, StubUniforms(refill), state, 0, zero_occupancy(taxi)
         )
         assert reward == pytest.approx(1.0)
         assert nxt.passenger
@@ -121,8 +138,8 @@ class TestPassengers:
     def test_delivery_in_region_two(self, taxi):
         rng = np.random.default_rng(6)
         state = TaxiState(5, 2, 5, 2, True, 0)
-        assert taxi.reward_of(state, 0) == pytest.approx(1.2)
-        nxt, reward = taxi.sample_step(rng, 0, state, 0, zero_occupancy(taxi))
+        assert reward_of(taxi, state, 0) == pytest.approx(1.2)
+        nxt, reward = step_one(taxi, rng, state, 0, zero_occupancy(taxi))
         assert reward == pytest.approx(1.2)
         assert not nxt.passenger
         assert (nxt.dest_x, nxt.dest_y) == (0, 0)
@@ -130,15 +147,15 @@ class TestPassengers:
     def test_movement_earns_nothing(self, taxi):
         state = TaxiState(0, 0, 0, 0, False, 0)
         for action in range(1, 5):
-            assert taxi.reward_of(state, action) == 0.0
+            assert reward_of(taxi, state, action) == 0.0
 
     def test_spawn_rate(self, taxi):
         rng = np.random.default_rng(7)
         spawned = 0
         trials = 500
         for _ in range(trials):
-            nxt, _ = taxi.sample_step(
-                rng, 0, taxi.initial_state(), 0, zero_occupancy(taxi)
+            nxt, _ = step_one(
+                taxi, rng, taxi.initial_state(), 0, zero_occupancy(taxi)
             )
             region1_bits = [
                 taxi.map.board_bit[p] for p in taxi.map.region_tiles[1]
@@ -162,11 +179,11 @@ class TestEncoding:
             assert 0 <= code < taxi.num_states
             assert taxi.decode(code) == state
             seen.add(code)
-            state, _ = taxi.sample_step(rng, 0, state, int(rng.integers(5)), occ)
+            state, _ = step_one(taxi, rng, state, int(rng.integers(5)), occ)
         assert len(seen) > 50  # the walk reaches a nontrivial set of states
 
     def test_observation_layout(self, taxi):
-        obs = taxi.observe(7, taxi.initial_state())
+        obs = observe_one(taxi, 7, taxi.initial_state())
         assert obs.shape == (taxi.obs_dim,)
         assert obs[-1] == 7.0
         assert obs.sum() == pytest.approx(7.0 + 2.0)  # pos one-hot + dest slot + time
@@ -282,19 +299,6 @@ class TestKernelOracle:
             checked += n
         assert checked >= 10_000
 
-    def test_sample_step_is_the_kernel_for_one_taxi(self, taxi):
-        states = random_states(taxi, np.random.default_rng(13), 200)
-        occ = np.random.default_rng(14).dirichlet(np.ones(taxi.mf_size))
-        rng_a, rng_b = np.random.default_rng(15), np.random.default_rng(15)
-        for i, state in enumerate(states):
-            action = i % 5
-            nxt, reward = taxi.sample_step(rng_a, 0, state, action, occ)
-            codes, rewards = taxi.step_codes(
-                rng_b, 0, [taxi.encode(state)], [action], occ
-            )
-            assert taxi.encode(nxt) == codes[0]
-            assert reward == rewards[0] == taxi.reward_of(state, action)
-
     def test_observation_rows_follow_layout(self, taxi):
         m = taxi.map
         states = random_states(taxi, np.random.default_rng(16), 500)
@@ -312,7 +316,7 @@ class TestKernelOracle:
                 want[num_tiles + num_bits + 2 + bit] = s.board >> bit & 1
             want[-1] = 42.0
             np.testing.assert_array_equal(row, want)
-            np.testing.assert_array_equal(taxi.observe(42, s), want)
+            np.testing.assert_array_equal(observe_one(taxi, 42, s), want)
 
     def test_jam_probability_elementwise(self, taxi):
         occ = np.array([0.0, 0.05, 0.07, 0.2])
