@@ -92,8 +92,10 @@ def validate_config(cfg: dict) -> list[str]:
     if env is None:
         problems.append("missing key: env")
     elif isinstance(env, str) and env.startswith("custom:"):
-        if not os.path.exists(env.split(":", 1)[1]):
-            problems.append(f"custom environment file not found: {env.split(':', 1)[1]}")
+        try:
+            load_custom_env(env.split(":", 1)[1])
+        except ConfigError as exc:
+            problems.append(str(exc))
     elif env not in BUILTIN_FACTORIES and env != "taxi":
         problems.append(f"unknown env name: {env!r}")
     solver = cfg.get("solver")

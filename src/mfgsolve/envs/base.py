@@ -1,14 +1,14 @@
 """Finite mean-field game environments: horizon, spaces, dynamics, rewards.
 
 Transitions and rewards take the current state distribution as an argument,
-which is what couples a single agent to the population.  ``EnvironmentSpec``
-keeps them as per-(s, a) callables; its table primitive, ``transition_table``
+which is what couples a single agent to the population.  Every tabular game
+is affine in that distribution, so ``EnvironmentSpec`` stores its dynamics as
+the affine coefficient arrays, and its table primitive, ``transition_table``
 / ``reward_table``, turns one state distribution into the dense kernel and
-reward tables the dynamic-programming routines consume.  Affine games supply
-vectorized tables (one batched matrix-vector product each); a game given only
-by its callables gets the same tables from a loop over (s, a).
+reward tables the dynamic-programming routines consume (one batched
+matrix-vector product each).
 
-On those tables ``EnvironmentSpec`` also answers the sampling interface of
+On those arrays ``EnvironmentSpec`` also answers the sampling interface of
 the taxi game (``initial_codes``, ``step_codes``, ``observe_codes``,
 ``mf_index``), so particle flows, rollouts and DQN training step every game
 the same way, with states as integer codes.
@@ -17,85 +17,88 @@ the same way, with states as integer codes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import SIMPLEX_ATOL, as_distribution, sample_rows
 from ..errors import ConfigError, DimensionError
 
-TransitionFn = Callable[[int, int, np.ndarray], np.ndarray]
-RewardFn = Callable[[int, int, np.ndarray], float]
-TableFn = Callable[[np.ndarray], np.ndarray]
-
 
 @dataclass(frozen=True)
 class EnvironmentSpec:
-    """A finite MFG: (T, S, A, mu0, p, r) with population-dependent dynamics.
+    """A finite MFG (T, S, A, mu0, p, r) whose reward and kernel are affine in
+    the state distribution ``mu``:
 
-    ``transition(s, a, mu_t)`` returns a distribution over next states and
-    ``reward(s, a, mu_t)`` a finite real; both must accept any valid state
-    distribution ``mu_t``.  Immutable and shareable; the callables are pure.
-    ``dense_transition(mu_t)`` and ``dense_reward(mu_t)``, when given, return
-    the whole (S, A, S) kernel and (S, A) reward table at once and must agree
-    with the per-(s, a) callables; without them the tables are built by
-    calling ``transition`` and ``reward`` for every (s, a).
+    ``r(s, a, mu) = reward_base[s, a] + reward_mu_coef[s, a] . mu`` and
+    ``p(s' | s, a, mu) = transition_base[s, a, s'] + transition_mu_coef[s, a, s'] . mu``.
+
+    ``num_states`` and ``num_actions`` are read off ``reward_base``; an absent
+    coefficient is zero (constant kernels and mu-free rewards).  Immutable
+    and shareable; ``validate_dynamics`` checks that the kernel is a
+    distribution at every ``mu``.
     """
 
     name: str
     horizon: int
-    num_states: int
-    num_actions: int
     initial_dist: np.ndarray
-    transition: TransitionFn
-    reward: RewardFn
+    reward_base: np.ndarray
+    transition_base: np.ndarray
+    reward_mu_coef: np.ndarray | None = None
+    transition_mu_coef: np.ndarray | None = None
     state_labels: tuple[str, ...] | None = None
     action_labels: tuple[str, ...] | None = None
-    dense_transition: TableFn | None = None
-    dense_reward: TableFn | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
-        if self.num_states < 1 or self.num_actions < 1:
+        rb = np.asarray(self.reward_base, dtype=np.float64)
+        if rb.ndim != 2:
+            raise DimensionError(f"reward base has shape {rb.shape}, expected (S, A)")
+        if rb.size == 0:
             raise ConfigError("state and action spaces must be nonempty")
+        S, A = rb.shape
+        for field_name, shape in (
+            ("reward_base", (S, A)),
+            ("transition_base", (S, A, S)),
+            ("reward_mu_coef", (S, A, S)),
+            ("transition_mu_coef", (S, A, S, S)),
+        ):
+            value = getattr(self, field_name)
+            if value is None and field_name.endswith("_coef"):
+                value = np.zeros(shape)
+            arr = np.asarray(value, dtype=np.float64)
+            if arr.shape != shape:
+                raise DimensionError(
+                    f"{field_name} has shape {arr.shape}, expected {shape}"
+                )
+            object.__setattr__(self, field_name, arr)
         mu0 = as_distribution(self.initial_dist, what="initial distribution")
-        if mu0.shape != (self.num_states,):
+        if mu0.shape != (S,):
             raise DimensionError(
-                f"initial distribution has {mu0.shape[0]} entries, "
-                f"expected {self.num_states}"
+                f"initial distribution has {mu0.shape[0]} entries, expected {S}"
             )
         object.__setattr__(self, "initial_dist", mu0)
+        for field_name in ("state_labels", "action_labels"):
+            labels = getattr(self, field_name)
+            object.__setattr__(self, field_name, tuple(labels) if labels else None)
 
-    def transition_row(self, s: int, a: int, mu_t: np.ndarray) -> np.ndarray:
-        row = np.asarray(self.transition(s, a, mu_t), dtype=np.float64)
-        if row.shape != (self.num_states,):
-            raise DimensionError(
-                f"transition({s}, {a}) returned shape {row.shape}, "
-                f"expected ({self.num_states},)"
-            )
-        return row
+    @property
+    def num_states(self) -> int:
+        return self.reward_base.shape[0]
+
+    @property
+    def num_actions(self) -> int:
+        return self.reward_base.shape[1]
 
     def transition_table(self, mu_t: np.ndarray) -> np.ndarray:
         """Dense kernel ``P[s, a, s']`` at the given state distribution."""
-        if self.dense_transition is not None:
-            return self.dense_transition(mu_t)
-        p = np.empty((self.num_states, self.num_actions, self.num_states))
-        for s in range(self.num_states):
-            for a in range(self.num_actions):
-                p[s, a] = self.transition_row(s, a, mu_t)
-        return p
+        return self.transition_base + self.transition_mu_coef @ mu_t
 
     def reward_table(self, mu_t: np.ndarray) -> np.ndarray:
         """Dense rewards ``R[s, a]`` at the given state distribution."""
-        if self.dense_reward is not None:
-            return self.dense_reward(mu_t)
-        r = np.empty((self.num_states, self.num_actions))
-        for s in range(self.num_states):
-            for a in range(self.num_actions):
-                r[s, a] = self.reward(s, a, mu_t)
-        return r
+        # (1, S) @ (S,) per (s, a): a dot product each, as ``step_codes`` takes it.
+        return self.reward_base + (self.reward_mu_coef[:, :, None, :] @ mu_t)[:, :, 0]
 
     # Sampling interface, shared with games too large to tabulate (taxi):
     # a state is an integer code, here the state index itself.
@@ -127,10 +130,18 @@ class EnvironmentSpec:
         mu_t: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """One transition of n agents at the state distribution ``mu_t``:
-        next states drawn from ``transition_table(mu_t)`` (one uniform per
-        agent) and rewards read from ``reward_table(mu_t)``."""
-        rows = self.transition_table(mu_t)[codes, actions]
-        return sample_rows(rng, rows), self.reward_table(mu_t)[codes, actions]
+        next states drawn from the agents' kernel rows (one uniform per
+        agent) and their rewards.  Only those n rows are built; they equal
+        the same rows of ``transition_table(mu_t)`` and ``reward_table(mu_t)``."""
+        rows = (
+            self.transition_base[codes, actions]
+            + self.transition_mu_coef[codes, actions] @ mu_t
+        )
+        rewards = (
+            self.reward_base[codes, actions]
+            + (self.reward_mu_coef[codes, actions][:, None, :] @ mu_t)[:, 0]
+        )
+        return sample_rows(rng, rows), rewards
 
     def observe_codes(self, t: int, codes: np.ndarray) -> np.ndarray:
         """(n, obs_dim) network inputs of the states at time t."""
@@ -139,92 +150,35 @@ class EnvironmentSpec:
         obs[:, -1] = t
         return obs
 
-    def validate_dynamics(self, num_probes: int = 1000, seed: int = 0) -> None:
-        """Probe random (s, a, mu) triples; raise if any kernel row is invalid."""
-        rng = np.random.default_rng(seed)
-        for _ in range(num_probes):
-            s = int(rng.integers(self.num_states))
-            a = int(rng.integers(self.num_actions))
-            mu = rng.dirichlet(np.ones(self.num_states))
-            row = self.transition_row(s, a, mu)
-            if np.any(row < -SIMPLEX_ATOL):
-                raise ValueError(f"negative transition mass at ({s}, {a})")
-            if abs(row.sum() - 1.0) > SIMPLEX_ATOL:
-                raise ValueError(
-                    f"transition({s}, {a}) sums to {row.sum():.12f}"
-                )
-            if not np.isfinite(self.reward(s, a, mu)):
-                raise ValueError(f"non-finite reward at ({s}, {a})")
+    def validate_dynamics(self) -> None:
+        """Raise ValueError unless the kernel is a distribution at every state
+        distribution and the rewards are finite.
+
+        The kernel at ``mu`` is the ``mu``-weighted mix of the S vertex
+        kernels ``transition_base + transition_mu_coef[..., j]``, so it is
+        valid on the whole simplex if and only if every vertex kernel is.
+        They are checked one state s at a time, so no second array the size
+        of ``transition_mu_coef`` is allocated.
+        """
+        for s in range(self.num_states):
+            # vertices[a, s', j]: the kernel row of (s, a) at the flow e_j.
+            vertices = self.transition_base[s, :, :, None] + self.transition_mu_coef[s]
+            # Negated comparisons, so that NaN fails them too.
+            checks = (
+                (~(vertices >= -SIMPLEX_ATOL).all(axis=1), "has negative mass"),
+                (~(np.abs(vertices.sum(axis=1) - 1.0) <= SIMPLEX_ATOL), "does not sum to 1"),
+            )
+            for bad, what in checks:
+                if bad.any():
+                    a, j = np.argwhere(bad)[0]
+                    raise ValueError(f"transition({s}, {a}) {what} at the flow e_{j}")
+        if not np.isfinite(self.reward_base).all() or not np.isfinite(self.reward_mu_coef).all():
+            raise ValueError("non-finite reward coefficient")
 
 
-def make_affine_env(
-    name: str,
-    horizon: int,
-    initial_dist: Sequence[float],
-    reward_base: np.ndarray,
-    transition_base: np.ndarray,
-    reward_mu_coef: np.ndarray | None = None,
-    transition_mu_coef: np.ndarray | None = None,
-    state_labels: Sequence[str] | None = None,
-    action_labels: Sequence[str] | None = None,
-) -> EnvironmentSpec:
-    """Environment whose reward and kernel are affine in the state distribution.
-
-    ``r(s, a, mu) = reward_base[s, a] + reward_mu_coef[s, a] . mu`` and
-    ``p(s' | s, a, mu) = transition_base[s, a, s'] + transition_mu_coef[s, a, s'] . mu``.
-    Covers every built-in tabular game (constant kernels are the zero-coef case).
-    The dense tables broadcast the callables' products over every (s, a) at
-    once; numpy evaluates each (s, a) item with the same BLAS routine as the
-    callable, so the two agree bit for bit.
-    """
-    rb = np.asarray(reward_base, dtype=np.float64)
-    tb = np.asarray(transition_base, dtype=np.float64)
-    num_states, num_actions = rb.shape
-    if tb.shape != (num_states, num_actions, num_states):
-        raise DimensionError(
-            f"transition base shape {tb.shape} does not match reward base {rb.shape}"
-        )
-    rc = (
-        np.zeros((num_states, num_actions, num_states))
-        if reward_mu_coef is None
-        else np.asarray(reward_mu_coef, dtype=np.float64)
-    )
-    tc = (
-        np.zeros((num_states, num_actions, num_states, num_states))
-        if transition_mu_coef is None
-        else np.asarray(transition_mu_coef, dtype=np.float64)
-    )
-    if rc.shape != (num_states, num_actions, num_states):
-        raise DimensionError(f"reward coefficient shape {rc.shape} invalid")
-    if tc.shape != (num_states, num_actions, num_states, num_states):
-        raise DimensionError(f"transition coefficient shape {tc.shape} invalid")
-
-    def transition(s: int, a: int, mu_t: np.ndarray) -> np.ndarray:
-        return tb[s, a] + tc[s, a] @ mu_t
-
-    def reward(s: int, a: int, mu_t: np.ndarray) -> float:
-        return float(rb[s, a] + rc[s, a] @ mu_t)
-
-    def dense_transition(mu_t: np.ndarray) -> np.ndarray:
-        return tb + tc @ mu_t
-
-    def dense_reward(mu_t: np.ndarray) -> np.ndarray:
-        # (1, S) @ (S,) per (s, a) is a dot product, as in ``reward``.
-        return rb + (rc[:, :, None, :] @ mu_t)[:, :, 0]
-
-    return EnvironmentSpec(
-        name=name,
-        horizon=horizon,
-        num_states=num_states,
-        num_actions=num_actions,
-        initial_dist=np.asarray(initial_dist, dtype=np.float64),
-        transition=transition,
-        reward=reward,
-        state_labels=tuple(state_labels) if state_labels else None,
-        action_labels=tuple(action_labels) if action_labels else None,
-        dense_transition=dense_transition,
-        dense_reward=dense_reward,
-    )
+# Affine games are built by this name: the built-ins, JSON games and
+# perfbench's generated games.
+make_affine_env = EnvironmentSpec
 
 
 def load_custom_env(path: str) -> EnvironmentSpec:
@@ -242,32 +196,21 @@ def load_custom_env(path: str) -> EnvironmentSpec:
     try:
         reward = doc["reward"]
         transition = doc["transition"]
+        declared = (int(doc["num_states"]), int(doc["num_actions"]))
         env = make_affine_env(
             name=doc.get("name", "custom"),
             horizon=int(doc["horizon"]),
             initial_dist=doc["initial_dist"],
-            reward_base=np.asarray(reward["base"], dtype=np.float64),
-            transition_base=np.asarray(transition["base"], dtype=np.float64),
-            reward_mu_coef=(
-                np.asarray(reward["mu_coef"], dtype=np.float64)
-                if "mu_coef" in reward
-                else None
-            ),
-            transition_mu_coef=(
-                np.asarray(transition["mu_coef"], dtype=np.float64)
-                if "mu_coef" in transition
-                else None
-            ),
+            reward_base=reward["base"],
+            transition_base=transition["base"],
+            reward_mu_coef=reward.get("mu_coef"),
+            transition_mu_coef=transition.get("mu_coef"),
             state_labels=doc.get("state_labels"),
             action_labels=doc.get("action_labels"),
         )
-    except (KeyError, TypeError, ValueError, DimensionError) as exc:
+        if (env.num_states, env.num_actions) != declared:
+            raise ValueError("declared sizes do not match the reward/transition tables")
+        env.validate_dynamics()
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed environment file {path}: {exc}") from exc
-    if env.num_states != int(doc["num_states"]) or env.num_actions != int(
-        doc["num_actions"]
-    ):
-        raise ConfigError(
-            f"{path}: declared sizes do not match the reward/transition tables"
-        )
-    env.validate_dynamics(num_probes=200)
     return env

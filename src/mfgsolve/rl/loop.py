@@ -28,7 +28,6 @@ from .dqn import DqnHyperparams, dqn_train
 from .policies import (
     BoltzmannNetworkPolicy,
     GreedyNetworkPolicy,
-    greedy_policy_from_network,
     network_q_table,
 )
 

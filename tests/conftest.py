@@ -52,3 +52,45 @@ def random_affine_env(
             mix * mixture.transpose(0, 1, 3, 2) if mu_transition else None
         ),
     )
+
+
+def _vertex_game():
+    # Valid inside the simplex, but at the flow e_2 the kernel row of (0, 0)
+    # is [-0.01, 1.01, 0]; random probe flows almost never get that close.
+    coef = np.zeros((3, 1, 3, 3))
+    coef[0, 0, :, 2] = [-0.51, 0.51, 0.0]
+    return {
+        "name": "near_vertex",
+        "horizon": 3,
+        "num_states": 3,
+        "num_actions": 1,
+        "initial_dist": [1.0, 0.0, 0.0],
+        "reward": {"base": [[0.0], [0.0], [0.0]]},
+        "transition": {
+            "base": [[[0.5, 0.5, 0.0]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]],
+            "mu_coef": coef.tolist(),
+        },
+    }
+
+
+# Custom game documents that must be refused as config errors.
+BAD_CUSTOM_GAMES = {
+    "near_vertex": _vertex_game(),
+    "rows_off_simplex": {
+        "name": "leaky",
+        "horizon": 2,
+        "num_states": 2,
+        "num_actions": 1,
+        "initial_dist": [1.0, 0.0],
+        "reward": {"base": [[0.0], [0.0]]},
+        "transition": {"base": [[[0.5, 0.4]], [[0.0, 1.0]]]},
+    },
+    "missing_num_states": {
+        "name": "unsized",
+        "horizon": 2,
+        "num_actions": 1,
+        "initial_dist": [1.0, 0.0],
+        "reward": {"base": [[0.0], [0.0]]},
+        "transition": {"base": [[[1.0, 0.0]], [[0.0, 1.0]]]},
+    },
+}

@@ -1,11 +1,11 @@
 import builtins
 import csv
 import json
-import os
 
 import numpy as np
 import pytest
 
+from conftest import BAD_CUSTOM_GAMES
 from mfgsolve import cli
 from mfgsolve.envs import make_lr
 
@@ -89,6 +89,18 @@ class TestValidate:
         )
         assert cli.main(["validate", str(cfg)]) == 1
         assert "dqn overrides invalid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("game", sorted(BAD_CUSTOM_GAMES))
+    def test_bad_custom_game(self, tmp_path, capsys, game):
+        # Both verbs refuse the game as a config error, before any cell runs.
+        env_path = tmp_path / "game.json"
+        env_path.write_text(json.dumps(BAD_CUSTOM_GAMES[game]))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, env=f"custom:{env_path}", eta_grid=[0.5], seeds=[0], iterations=3)
+        assert cli.main(["validate", str(cfg)]) == 1
+        assert str(env_path) in capsys.readouterr().out
+        assert cli.main(["run", str(cfg)]) == 1
+        assert not (tmp_path / "results").exists()
 
     def test_exact_needs_no_grid(self, tmp_path):
         cfg = tmp_path / "cfg.json"

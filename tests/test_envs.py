@@ -1,14 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_affine_env
+from conftest import BAD_CUSTOM_GAMES, random_affine_env
 from mfgsolve.core import SIMPLEX_ATOL
 from mfgsolve.envs import (
-    EnvironmentSpec,
     load_custom_env,
     make_affine_env,
     make_lr,
@@ -39,39 +39,39 @@ class TestLr:
         env = make_lr()
         mu = mu_for(env, L=0.4)
         for a in range(2):
-            assert env.reward(1, a, mu) == pytest.approx(-0.4)
+            assert env.reward_table(mu)[1, a] == pytest.approx(-0.4)
 
     def test_right_reward_doubled(self):
         env = make_lr()
         mu = mu_for(env, R=0.4)
         for a in range(2):
-            assert env.reward(2, a, mu) == pytest.approx(-0.8)
+            assert env.reward_table(mu)[2, a] == pytest.approx(-0.8)
 
     def test_action_picks_next_state(self):
         env = make_lr()
         mu = mu_for(env, L=0.3, R=0.3)
-        np.testing.assert_allclose(env.transition(0, 0, mu), [0, 1, 0])
-        np.testing.assert_allclose(env.transition(0, 1, mu), [0, 0, 1])
+        np.testing.assert_allclose(env.transition_table(mu)[0, 0], [0, 1, 0])
+        np.testing.assert_allclose(env.transition_table(mu)[0, 1], [0, 0, 1])
 
 
 class TestToyLr:
     def test_symmetric_weights(self):
         env = make_toy_lr()
         mu = mu_for(env, L=0.4)
-        assert env.reward(1, 0, mu) == pytest.approx(-0.4)
+        assert env.reward_table(mu)[1, 0] == pytest.approx(-0.4)
         mu = mu_for(env, R=0.4)
-        assert env.reward(2, 0, mu) == pytest.approx(-0.4)
+        assert env.reward_table(mu)[2, 0] == pytest.approx(-0.4)
 
 
 class TestRps:
     def test_paper_reward_rows(self):
         env = make_rps()
         mu = np.array([0.0, 0.5, 0.3, 0.2])
-        assert env.reward(2, 0, mu) == pytest.approx(4 * 0.5 - 2 * 0.2)  # at P
+        assert env.reward_table(mu)[2, 0] == pytest.approx(4 * 0.5 - 2 * 0.2)  # at P
         mu = np.array([0.6, 0.3, 0.1, 0.0])
-        assert env.reward(3, 0, mu) == pytest.approx(6 * 0.1 - 3 * 0.3)  # at S
+        assert env.reward_table(mu)[3, 0] == pytest.approx(6 * 0.1 - 3 * 0.3)  # at S
         mu = np.array([0.0, 0.0, 0.4, 0.6])
-        assert env.reward(1, 2, mu) == pytest.approx(2 * 0.6 - 1 * 0.4)  # at R
+        assert env.reward_table(mu)[1, 2] == pytest.approx(2 * 0.6 - 1 * 0.4)  # at R
 
     def test_start_state_rewardless(self):
         env = make_rps()
@@ -79,31 +79,31 @@ class TestRps:
         for _ in range(20):
             mu = rng.dirichlet(np.ones(4))
             for a in range(3):
-                assert env.reward(0, a, mu) == 0.0
+                assert env.reward_table(mu)[0, a] == 0.0
 
 
 class TestSis:
     def test_infection_probability(self):
         env = make_sis()
         mu = np.array([0.5, 0.5])
-        np.testing.assert_allclose(env.transition(0, 0, mu), [0.595, 0.405])
+        np.testing.assert_allclose(env.transition_table(mu)[0, 0], [0.595, 0.405])
 
     def test_distancing_never_infects(self):
         env = make_sis()
         rng = np.random.default_rng(1)
         for _ in range(20):
             mu = rng.dirichlet(np.ones(2))
-            np.testing.assert_allclose(env.transition(0, 1, mu), [1.0, 0.0])
+            np.testing.assert_allclose(env.transition_table(mu)[0, 1], [1.0, 0.0])
 
     def test_recovery_independent_of_action(self):
         env = make_sis()
         mu = np.array([0.2, 0.8])
         for a in range(2):
-            np.testing.assert_allclose(env.transition(1, a, mu), [0.3, 0.7])
+            np.testing.assert_allclose(env.transition_table(mu)[1, a], [0.3, 0.7])
 
     def test_infected_distancing_reward(self):
         env = make_sis()
-        assert env.reward(1, 1, np.array([0.5, 0.5])) == pytest.approx(-1.5)
+        assert env.reward_table(np.array([0.5, 0.5]))[1, 1] == pytest.approx(-1.5)
 
     def test_initial_infected_share(self):
         env = make_sis()
@@ -120,7 +120,7 @@ class TestSis:
 @pytest.mark.parametrize("make", [make_lr, make_toy_lr, make_rps, make_sis])
 class TestDynamicsInvariants:
     def test_random_probes_are_distributions(self, make):
-        make().validate_dynamics(num_probes=1000, seed=0)
+        make().validate_dynamics()
 
     def test_mu_independent_diracs_where_expected(self, make):
         env = make()
@@ -133,10 +133,20 @@ class TestDynamicsInvariants:
         assert np.all(np.isin(base, (0.0, 1.0)))
 
 
+def per_pair_tables(env, mu):
+    """Kernel and rewards built one (s, a) at a time from the affine formula."""
+    S, A = env.num_states, env.num_actions
+    kernel, rewards = np.empty((S, A, S)), np.empty((S, A))
+    for s in range(S):
+        for a in range(A):
+            kernel[s, a] = env.transition_base[s, a] + env.transition_mu_coef[s, a] @ mu
+            rewards[s, a] = env.reward_base[s, a] + env.reward_mu_coef[s, a] @ mu
+    return kernel, rewards
+
+
 class TestAffineTables:
-    """The vectorized tables of an affine game against its per-(s, a)
-    callables, and against the loop an ``EnvironmentSpec`` built from those
-    callables alone falls back to."""
+    """The vectorized tables of an affine game against its affine formula
+    evaluated one (s, a) at a time, as per-(s, a) callables would."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -153,30 +163,44 @@ class TestAffineTables:
         env = random_affine_env(
             rng, 2, num_states, num_actions, mu_reward, mu_transition
         )
-        callables_only = EnvironmentSpec(
-            name="callables",
-            horizon=env.horizon,
-            num_states=num_states,
-            num_actions=num_actions,
-            initial_dist=env.initial_dist,
-            transition=env.transition,
-            reward=env.reward,
-        )
         mu = rng.dirichlet(np.ones(num_states))
         kernel = env.transition_table(mu)
-        stacked = np.array(
-            [[env.transition(s, a, mu) for a in range(num_actions)]
-             for s in range(num_states)]
-        )
-        np.testing.assert_array_equal(kernel, stacked)
-        np.testing.assert_array_equal(kernel, callables_only.transition_table(mu))
+        want_kernel, want_rewards = per_pair_tables(env, mu)
+        np.testing.assert_array_equal(kernel, want_kernel)
         rewards = env.reward_table(mu)
-        np.testing.assert_allclose(
-            rewards, callables_only.reward_table(mu), rtol=0.0, atol=1e-12
-        )
+        np.testing.assert_allclose(rewards, want_rewards, rtol=0.0, atol=1e-12)
         assert rewards.shape == (num_states, num_actions)
         assert np.all(kernel >= 0.0)
         np.testing.assert_allclose(kernel.sum(axis=-1), 1.0, rtol=0.0, atol=SIMPLEX_ATOL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_states=st.integers(2, 6),
+        num_actions=st.integers(1, 3),
+        mu_transition=st.booleans(),
+        data=st.data(),
+    )
+    def test_validation_is_exact_at_the_vertices(
+        self, seed, num_states, num_actions, mu_transition, data
+    ):
+        env = random_affine_env(
+            np.random.default_rng(seed), 2, num_states, num_actions,
+            mu_transition=mu_transition,
+        )
+        env.validate_dynamics()
+        # Push one entry of the vertex kernel at e_j to -2 SIMPLEX_ATOL and
+        # give the mass to another entry of its row: the rows still sum to 1,
+        # and the kernel is invalid only near the flow e_j.
+        s, a, j = (data.draw(st.integers(0, n - 1)) for n in (num_states, num_actions, num_states))
+        nxt, other = data.draw(st.permutations(range(num_states)))[:2]
+        shift = env.transition_base[s, a, nxt] + env.transition_mu_coef[s, a, nxt, j]
+        shift += 2 * SIMPLEX_ATOL
+        coef = env.transition_mu_coef.copy()
+        coef[s, a, nxt, j] -= shift
+        coef[s, a, other, j] += shift
+        with pytest.raises(ValueError, match="negative mass"):
+            replace(env, transition_mu_coef=coef).validate_dynamics()
 
 
 class TestCustomEnv:
@@ -204,12 +228,19 @@ class TestCustomEnv:
         env = load_custom_env(str(path))
         assert env.horizon == 3
         np.testing.assert_allclose(
-            env.transition(0, 0, np.array([0.5, 0.5])), [0.595, 0.405]
+            env.transition_table(np.array([0.5, 0.5]))[0, 0], [0.595, 0.405]
         )
 
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"horizon": 2}))
+        with pytest.raises(ConfigError):
+            load_custom_env(str(path))
+
+    @pytest.mark.parametrize("game", sorted(BAD_CUSTOM_GAMES))
+    def test_bad_game_is_a_config_error(self, tmp_path, game):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(BAD_CUSTOM_GAMES[game]))
         with pytest.raises(ConfigError):
             load_custom_env(str(path))
 

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_affine_env, random_policy
+from conftest import random_affine_env
 from mfgsolve import dp
 from mfgsolve.core import MeanField, Policy, meanfield_distance, mix, policy_distance
 from mfgsolve.envs import make_lr, make_rps, make_sis, make_toy_lr
