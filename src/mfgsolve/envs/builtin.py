@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EnvironmentSpec, make_affine_env
+from .base import EnvironmentSpec
 
 
 def _lr_like(name: str, left_weight: float, right_weight: float) -> EnvironmentSpec:
@@ -18,7 +18,7 @@ def _lr_like(name: str, left_weight: float, right_weight: float) -> EnvironmentS
     reward_coef = np.zeros((num_states, num_actions, num_states))
     reward_coef[1, :, 1] = -left_weight
     reward_coef[2, :, 2] = -right_weight
-    return make_affine_env(
+    return EnvironmentSpec(
         name=name,
         horizon=2,
         initial_dist=[1.0, 0.0, 0.0],
@@ -57,7 +57,7 @@ def make_rps() -> EnvironmentSpec:
     reward_coef[1, :] = [0.0, 0.0, -1.0, 2.0]   # at R: 2 mu(S) - mu(P)
     reward_coef[2, :] = [0.0, 4.0, 0.0, -2.0]   # at P: 4 mu(R) - 2 mu(S)
     reward_coef[3, :] = [0.0, -3.0, 6.0, 0.0]   # at S: 6 mu(P) - 3 mu(R)
-    return make_affine_env(
+    return EnvironmentSpec(
         name="rps",
         horizon=2,
         initial_dist=[1.0, 0.0, 0.0, 0.0],
@@ -86,7 +86,7 @@ def make_sis() -> EnvironmentSpec:
     transition_coef[0, 0, 0, 1] = -0.81  # P(stay S | U) = 1 - 0.81 mu(I)
     transition_coef[0, 0, 1, 1] = 0.81   # P(become I | U) = 0.81 mu(I)
     reward_base = np.array([[0.0, -0.5], [-1.0, -1.5]])
-    return make_affine_env(
+    return EnvironmentSpec(
         name="sis",
         horizon=50,
         initial_dist=[0.4, 0.6],

@@ -1,14 +1,14 @@
 import numpy as np
 
 from mfgsolve.core import MeanField, Policy
-from mfgsolve.envs import make_affine_env
+from mfgsolve.envs import EnvironmentSpec
 
 
 def random_env(rng, horizon, num_states, num_actions, name="random"):
     """Random finite game with mean-field-independent dynamics."""
     transition = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
     reward = rng.normal(size=(num_states, num_actions))
-    return make_affine_env(
+    return EnvironmentSpec(
         name,
         horizon=horizon,
         initial_dist=rng.dirichlet(np.ones(num_states)),
@@ -41,7 +41,7 @@ def random_affine_env(
     mix = 0.5 if mu_transition else 0.0
     base = rng.dirichlet(np.ones(S), size=(S, A))
     mixture = rng.dirichlet(np.ones(S), size=(S, A, S))  # [s, a, j, s']
-    return make_affine_env(
+    return EnvironmentSpec(
         "random_affine",
         horizon=horizon,
         initial_dist=rng.dirichlet(np.ones(S)),

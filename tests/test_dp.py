@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_affine_env, random_env, random_mean_field, random_policy
 from mfgsolve import dp
 from mfgsolve.core import MeanField, Policy
-from mfgsolve.envs import make_affine_env, make_lr, make_sis, make_toy_lr
+from mfgsolve.envs import EnvironmentSpec, make_lr, make_sis, make_toy_lr
 from mfgsolve.errors import CapacityError, DimensionError
 from mfgsolve.exploitability import exploitability_exact
 
@@ -242,7 +242,7 @@ class TestObjectives:
 
     def test_zero_reward_env(self):
         rng = np.random.default_rng(12)
-        env = make_affine_env(
+        env = EnvironmentSpec(
             "zero",
             horizon=3,
             initial_dist=[0.5, 0.5],
@@ -253,7 +253,7 @@ class TestObjectives:
         assert dp.objective_value(env, mu, random_policy(rng, env)) == 0.0
 
     def test_single_path_sums_rewards(self):
-        env = make_affine_env(
+        env = EnvironmentSpec(
             "chain",
             horizon=5,
             initial_dist=[1.0],

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BAD_CUSTOM_GAMES, random_affine_env
-from mfgsolve.core import SIMPLEX_ATOL
+from mfgsolve.core import SIMPLEX_ATOL, sample_rows
 from mfgsolve.envs import (
+    EnvironmentSpec,
     load_custom_env,
-    make_affine_env,
     make_lr,
     make_rps,
     make_sis,
@@ -202,6 +202,26 @@ class TestAffineTables:
         with pytest.raises(ValueError, match="negative mass"):
             replace(env, transition_mu_coef=coef).validate_dynamics()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_states=st.integers(1, 12),
+        num_actions=st.integers(1, 4),
+        num_agents=st.integers(1, 100),
+    )
+    def test_step_rows_match_the_tables(self, seed, num_states, num_actions, num_agents):
+        # Few agents take the per-pair rows, many the full tables: both draw
+        # from the same rows of transition_table / reward_table, bit for bit.
+        rng = np.random.default_rng(seed)
+        env = random_affine_env(rng, 2, num_states, num_actions)
+        mu = rng.dirichlet(np.ones(num_states))
+        codes = rng.integers(num_states, size=num_agents)
+        actions = rng.integers(num_actions, size=num_agents)
+        nxt, rewards = env.step_codes(np.random.default_rng(seed), 0, codes, actions, mu)
+        want = sample_rows(np.random.default_rng(seed), env.transition_table(mu)[codes, actions])
+        np.testing.assert_array_equal(nxt, want)
+        np.testing.assert_array_equal(rewards, env.reward_table(mu)[codes, actions])
+
 
 class TestCustomEnv:
     def test_json_round_trip(self, tmp_path):
@@ -264,7 +284,7 @@ class TestCustomEnv:
 
 def test_affine_env_rejects_bad_shapes():
     with pytest.raises(Exception):
-        make_affine_env(
+        EnvironmentSpec(
             "broken",
             horizon=2,
             initial_dist=[1.0, 0.0],

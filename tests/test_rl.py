@@ -4,7 +4,7 @@ from scipy import stats
 
 from mfgsolve import dp
 from mfgsolve.core import Policy
-from mfgsolve.envs import make_affine_env, make_rps, make_sis
+from mfgsolve.envs import EnvironmentSpec, make_rps, make_sis
 from mfgsolve.errors import ConfigError
 from mfgsolve.rl import (
     Adam,
@@ -159,7 +159,7 @@ class TestModeGuard:
 
 class TestDqnTraining:
     def test_trivial_mdp_values_near_zero(self):
-        env = make_affine_env(
+        env = EnvironmentSpec(
             "null",
             horizon=2,
             initial_dist=[1.0],

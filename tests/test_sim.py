@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_affine_env, random_policy
 from mfgsolve import dp
 from mfgsolve.core import MeanField, Policy, meanfield_distance
-from mfgsolve.envs import make_affine_env, make_lr, make_sis
+from mfgsolve.envs import EnvironmentSpec, make_lr, make_sis
 from mfgsolve.errors import DimensionError
 from mfgsolve.rl import DqnHyperparams, dqn_train
 from mfgsolve.sim import (
@@ -91,7 +91,7 @@ class TestSimulateMeanField:
 
 class TestEvaluatePolicyStochastic:
     def test_deterministic_single_path(self):
-        env = make_affine_env(
+        env = EnvironmentSpec(
             "chain",
             horizon=6,
             initial_dist=[1.0],
