@@ -19,7 +19,9 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -58,7 +60,6 @@ DEFAULTS = {
     "iterations": 100,
     "convergence_tol": 0.0,
     "window": 10,
-    "history": 64,
     "particles": {"num_meanfields": 5, "num_particles": 1000},
     "dqn": {},
     "eval_episodes": 500,
@@ -66,6 +67,8 @@ DEFAULTS = {
     "workers": 1,
     "output_dir": "results",
 }
+REQUIRED = {"env", "solver", "eta_grid", "seeds"}
+PRIOR_DESCENT_KEYS = {"outer", "inner", "c"}
 
 
 def resolve_config(doc: dict) -> dict:
@@ -85,33 +88,42 @@ def load_config(path: str) -> dict:
     return resolve_config(doc)
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 1
+
+
 def validate_config(cfg: dict) -> list[str]:
-    """Schema and referential checks; returns a list of problems (empty = ok)."""
+    """Structural checks, then every cell built as ``run`` builds it (but
+    not run); returns a list of problems (empty = ok)."""
     problems = []
+    for key in sorted(set(cfg) - set(DEFAULTS) - REQUIRED):
+        problems.append(f"unknown config key: {key!r}")
     env = cfg.get("env")
     if env is None:
         problems.append("missing key: env")
-    elif isinstance(env, str) and env.startswith("custom:"):
-        try:
-            load_custom_env(env.split(":", 1)[1])
-        except ConfigError as exc:
-            problems.append(str(exc))
-    elif env not in BUILTIN_FACTORIES and env != "taxi":
+    elif not isinstance(env, str) or not (
+        env in BUILTIN_FACTORIES or env == "taxi" or env.startswith("custom:")
+    ):
         problems.append(f"unknown env name: {env!r}")
     solver = cfg.get("solver")
     if solver not in SOLVERS:
         problems.append(f"unknown solver: {solver!r} (expected one of {SOLVERS})")
     eta_grid = cfg.get("eta_grid")
     if solver != "exact":
-        if not eta_grid:
+        if not eta_grid or not isinstance(eta_grid, list):
             problems.append("eta_grid must be a nonempty list unless solver='exact'")
         elif any(not isinstance(x, (int, float)) or x < 0 for x in eta_grid):
             problems.append("eta_grid entries must be nonnegative reals")
     seeds = cfg.get("seeds")
-    if not seeds or not isinstance(seeds, list):
-        problems.append("seeds must be a nonempty list of integers")
-    if cfg.get("iterations", 1) < 1:
-        problems.append("iterations must be >= 1")
+    if (
+        not seeds
+        or not isinstance(seeds, list)
+        or any(type(s) is not int or s < 0 for s in seeds)
+    ):
+        problems.append("seeds must be a nonempty list of nonnegative integers")
+    for key in ("iterations", "workers"):
+        if not _is_count(cfg.get(key, 1)):
+            problems.append(f"{key} must be an integer >= 1")
     prior = cfg.get("prior", "uniform")
     if isinstance(prior, str) and prior.startswith("from_file:"):
         if not os.path.exists(prior.split(":", 1)[1]):
@@ -120,28 +132,30 @@ def validate_config(cfg: dict) -> list[str]:
         problems.append(f"prior must be 'uniform' or 'from_file:<path>', got {prior!r}")
     pd = cfg.get("prior_descent")
     if pd is not None:
-        if solver not in ("boltzmann", "relent"):
-            problems.append("prior_descent needs solver 'boltzmann' or 'relent'")
-        for key in ("outer", "inner", "c"):
-            if key not in pd:
-                problems.append(f"prior_descent missing key: {key}")
+        keys = set(pd) if isinstance(pd, dict) else set()
+        for key in sorted(PRIOR_DESCENT_KEYS - keys):
+            problems.append(f"prior_descent missing key: {key}")
+        for key in sorted(keys - PRIOR_DESCENT_KEYS):
+            problems.append(f"unknown prior_descent key: {key!r}")
     if solver == "boltzmann_dqn":
-        try:
-            DqnHyperparams(**cfg.get("dqn", {}))
-        except (TypeError, ValueError) as exc:
-            problems.append(f"dqn overrides invalid: {exc}")
-        for key in ("fp_policy", "fp_meanfield"):
+        for key in ("fp_policy", "fp_meanfield", "prior_descent"):
             if cfg.get(key):
                 problems.append(f"{key} is not supported with solver 'boltzmann_dqn'")
+        if not _is_count(cfg.get("eval_episodes", 1)):
+            problems.append("eval_episodes must be an integer >= 1")
     if env == "taxi" and solver != "boltzmann_dqn":
         problems.append("env 'taxi' is only solvable with solver 'boltzmann_dqn'")
     if cfg.get("taxi_map") and not os.path.exists(cfg["taxi_map"]):
         problems.append(f"taxi map file not found: {cfg['taxi_map']}")
-    if not problems and prior != "uniform":
-        try:
-            _load_prior(cfg, _build_env(cfg))
-        except ConfigError as exc:
-            problems.append(str(exc))
+    if problems:
+        return problems
+    try:
+        built = _build_env(cfg)
+        for eta in _etas(cfg):
+            for seed in seeds:
+                _cell(cfg, built, eta, seed)
+    except (ConfigError, TypeError, ValueError) as exc:
+        problems.append(str(exc))
     return problems
 
 
@@ -183,54 +197,42 @@ def _load_prior(cfg: dict, env) -> Policy | np.ndarray | None:
         raise ConfigError(
             f"prior in {path} has shape {arr.shape}, env {env.name!r} needs {shape}"
         )
+    if not np.all(arr > 0.0):
+        raise ConfigError(f"prior in {path} must be strictly positive")
     try:
         return Policy(arr) if tabular else as_distribution(arr, what="prior")
     except ValueError as exc:
         raise ConfigError(f"prior in {path}: {exc}") from exc
 
 
-def run_cell(cfg: dict, eta: float | None, seed: int) -> IterationLog:
-    """Execute one sweep cell; deterministic given (cfg, eta, seed)."""
-    env = _build_env(cfg)
+def _etas(cfg: dict) -> list[float | None]:
+    return [None] if cfg["solver"] == "exact" else list(cfg["eta_grid"])
+
+
+def _cell(cfg: dict, env, eta: float | None, seed: int) -> Callable[[], IterationLog]:
+    """One sweep cell with its prior loaded and every config object built,
+    returned unrun; a config mistake raises here, before any work."""
     solver = cfg["solver"]
     prior = _load_prior(cfg, env)
     if solver == "boltzmann_dqn":
-        particles = ParticleConfig(
-            cfg["particles"]["num_meanfields"],
-            cfg["particles"]["num_particles"],
-            seed,
-        )
-        hp = DqnHyperparams(**cfg.get("dqn", {}))
-        return boltzmann_dqn_iteration(
+        try:
+            hp = DqnHyperparams(**cfg["dqn"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"dqn overrides invalid: {exc}") from exc
+        return partial(
+            boltzmann_dqn_iteration,
             env,
             eta=eta,
             prior=prior,
             iterations=cfg["iterations"],
-            particles=particles,
+            particles=ParticleConfig(**cfg["particles"], seed=seed),
             hp=hp,
             seed=seed,
             eval_episodes=cfg["eval_episodes"],
         )
-    if cfg.get("prior_descent"):
-        pd = cfg["prior_descent"]
-        return prior_descent(
-            env,
-            PriorDescentConfig(
-                outer_iterations=pd["outer"],
-                inner_iterations=pd["inner"],
-                eta0=eta if eta is not None else pd.get("eta0"),
-                c=pd["c"],
-                mode=solver,
-                fp_average_policy=cfg["fp_policy"],
-                fp_average_meanfield=cfg["fp_meanfield"],
-                prior=prior,
-                convergence_tol=cfg["convergence_tol"],
-                window=cfg["window"],
-                history=cfg["history"],
-            ),
-        )
+    pd = cfg["prior_descent"]
     solver_cfg = SolverConfig(
-        max_iterations=cfg["iterations"],
+        max_iterations=pd["inner"] if pd else cfg["iterations"],
         mode=solver,
         eta=eta,
         fp_average_policy=cfg["fp_policy"],
@@ -238,11 +240,16 @@ def run_cell(cfg: dict, eta: float | None, seed: int) -> IterationLog:
         prior=prior,
         convergence_tol=cfg["convergence_tol"],
         window=cfg["window"],
-        history=cfg["history"],
     )
-    if solver == "exact":
-        return exact_fpi(env, solver_cfg)
-    return boltzmann_iteration(env, solver_cfg)
+    if pd:
+        pd_cfg = PriorDescentConfig(solver_cfg, pd["outer"], pd["c"])
+        return partial(prior_descent, env, pd_cfg)
+    return partial(exact_fpi if solver == "exact" else boltzmann_iteration, env, solver_cfg)
+
+
+def run_cell(cfg: dict, eta: float | None, seed: int) -> IterationLog:
+    """Execute one sweep cell; deterministic given (cfg, eta, seed)."""
+    return _cell(cfg, _build_env(cfg), eta, seed)()
 
 
 def _write_cell_csv(path: str, log: IterationLog) -> None:
@@ -292,7 +299,7 @@ def run(config_path: str, output_dir: str | None = None, workers: int | None = N
     )
     os.makedirs(out, exist_ok=True)
     workers = workers or cfg.get("workers", 1)
-    etas = [None] if cfg["solver"] == "exact" else list(cfg["eta_grid"])
+    etas = _etas(cfg)
     cells = [(eta, seed) for eta in etas for seed in cfg["seeds"]]
     results: dict[tuple, dict] = {}
     failures: list[dict] = []

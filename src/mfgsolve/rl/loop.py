@@ -23,7 +23,7 @@ from ..envs.base import EnvironmentSpec
 from ..errors import ConfigError
 from ..exploitability import exploitability_exact, exploitability_stochastic
 from ..sim import FixedActionPolicy, ParticleConfig, simulate_mean_field
-from ..solvers import IterationLog, IterationRecord
+from ..solvers import HISTORY_LEN, IterationLog, IterationRecord
 from .dqn import DqnHyperparams, dqn_train
 from .policies import (
     BoltzmannNetworkPolicy,
@@ -146,5 +146,5 @@ def boltzmann_dqn_iteration(
         final_meanfield=mu,
         converged=False,
         limit_cycle_period=None,
-        meanfield_history=history[-64:],
+        meanfield_history=history[-HISTORY_LEN:],
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .exploitability import exploitability_exact
 
 MODES = ("exact", "boltzmann", "relent")
 CYCLE_TOL = 1e-9
+HISTORY_LEN = 64  # trailing flow snapshots a log keeps for limit-cycle detection
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class SolverConfig:
     prior: Policy | None = None
     convergence_tol: float = 0.0
     window: int = 10
-    history: int = 64
     initial_mean_field: MeanField | None = None
 
     def __post_init__(self):
@@ -77,30 +77,22 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PriorDescentConfig:
-    """Outer loop: per outer iteration, run the softmax solver to (near)
-    convergence, promote its policy to the new prior, multiply the
+    """Outer loop around a softmax run: per outer iteration, run ``inner``
+    (``inner.max_iterations`` iterations, starting at temperature
+    ``inner.eta``), promote its policy to the new prior, multiply the
     temperature by ``c >= 1``."""
 
+    inner: SolverConfig
     outer_iterations: int
-    inner_iterations: int
-    eta0: float
     c: float = 1.0
-    mode: str = "boltzmann"
-    fp_average_policy: bool = False
-    fp_average_meanfield: bool = False
-    prior: Policy | None = None
-    convergence_tol: float = 0.0
-    window: int = 10
-    history: int = 64
 
     def __post_init__(self):
-        if self.outer_iterations < 1 or self.inner_iterations < 1:
-            raise ConfigError("outer and inner iteration counts must be >= 1")
+        if self.outer_iterations < 1:
+            raise ConfigError("outer_iterations must be >= 1")
         if self.c < 1.0:
             raise ConfigError("temperature multiplier c must be >= 1")
-        if self.mode not in ("boltzmann", "relent"):
+        if self.inner.mode not in ("boltzmann", "relent"):
             raise ConfigError("prior descent runs in boltzmann or relent mode")
-        check_temperature(self.eta0)
 
 
 @dataclass
@@ -147,13 +139,12 @@ class IterationLog:
 
 
 def detect_limit_cycle(
-    log: IterationLog | list[np.ndarray], max_period: int, tol: float = CYCLE_TOL
+    history: list[np.ndarray], max_period: int, tol: float = CYCLE_TOL
 ) -> int | None:
     """Smallest period ``p <= max_period`` the trailing flow snapshots repeat
     with, or None if aperiodic.  Snapshots settled on one point report
     period 1; ``_iterate`` reports 1 outright for a run that stopped on
     ``convergence_tol``."""
-    history = log.meanfield_history if isinstance(log, IterationLog) else log
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     if len(history) < 2 * max_period:
@@ -197,7 +188,7 @@ def _iterate(env: EnvironmentSpec, cfg: SolverConfig, eta_label: float) -> Itera
     dp.check_tabular(env)
     prior = (cfg.prior or _uniform_prior(env)).require_positive()
     mu = cfg.initial_mean_field or dp.induced_mean_field(env, prior)
-    history: deque[np.ndarray] = deque(maxlen=cfg.history)
+    history: deque[np.ndarray] = deque(maxlen=HISTORY_LEN)
     history.append(mu.per_time)
     records: list[IterationRecord] = []
     pi = prior
@@ -278,34 +269,24 @@ def prior_descent(env: EnvironmentSpec, cfg: PriorDescentConfig) -> IterationLog
     Returns the concatenated inner logs; ``outer_boundaries`` marks the
     record index where each outer iteration starts.
     """
-    prior = (cfg.prior or _uniform_prior(env)).require_positive()
-    eta = cfg.eta0
+    prior = (cfg.inner.prior or _uniform_prior(env)).require_positive()
+    eta = cfg.inner.eta
+    start = cfg.inner.initial_mean_field
     boundaries: list[int] = []
     records: list[IterationRecord] = []
     last: IterationLog | None = None
     for _ in range(cfg.outer_iterations):
-        inner_cfg = SolverConfig(
-            max_iterations=cfg.inner_iterations,
-            mode=cfg.mode,
-            eta=eta,
-            fp_average_policy=cfg.fp_average_policy,
-            fp_average_meanfield=cfg.fp_average_meanfield,
-            prior=prior,
-            convergence_tol=cfg.convergence_tol,
-            window=cfg.window,
-            history=cfg.history,
-            # The prior's induced flow, unless flow averaging mixed it.
-            initial_mean_field=(
-                None if last is None or cfg.fp_average_meanfield else last.final_meanfield
-            ),
-        )
         boundaries.append(len(records))
-        last = boltzmann_iteration(env, inner_cfg)
+        last = boltzmann_iteration(
+            env, replace(cfg.inner, eta=eta, prior=prior, initial_mean_field=start)
+        )
         for rec in last.records:
             rec.index = len(records)
             records.append(rec)
         prior = last.final_policy.require_positive()
         eta = eta * cfg.c
+        # The new prior's induced flow, unless flow averaging mixed it.
+        start = None if cfg.inner.fp_average_meanfield else last.final_meanfield
     assert last is not None
     return IterationLog(
         records=records,
@@ -314,6 +295,6 @@ def prior_descent(env: EnvironmentSpec, cfg: PriorDescentConfig) -> IterationLog
         converged=last.converged,
         limit_cycle_period=last.limit_cycle_period,
         meanfield_history=last.meanfield_history,
-        window=cfg.window,
+        window=cfg.inner.window,
         outer_boundaries=boundaries,
     )

@@ -37,11 +37,11 @@ def sis_prior_descent_log():
     return m.prior_descent(
         m.make_sis(),
         m.PriorDescentConfig(
+            m.SolverConfig(
+                max_iterations=pd["inner"], mode=cfg["solver"], eta=cfg["eta_grid"][0]
+            ),
             outer_iterations=pd["outer"],
-            inner_iterations=pd["inner"],
-            eta0=cfg["eta_grid"][0],
             c=pd["c"],
-            mode=cfg["solver"],
         ),
     )
 
@@ -146,11 +146,11 @@ class TestCriterion3:
         log = m.prior_descent(
             m.make_lr(),
             m.PriorDescentConfig(
+                m.SolverConfig(
+                    max_iterations=150, mode="boltzmann", eta=1.0, convergence_tol=1e-12
+                ),
                 outer_iterations=20,
-                inner_iterations=150,
-                eta0=1.0,
                 c=1.0,
-                convergence_tol=1e-12,
             ),
         )
         target = np.array([0.0, 2.0 / 3.0, 1.0 / 3.0])

@@ -1,6 +1,8 @@
 import builtins
 import csv
+import glob
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from conftest import BAD_CUSTOM_GAMES
 from mfgsolve import cli
 from mfgsolve.envs import make_lr
+
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def write_config(path, **overrides):
@@ -106,6 +110,79 @@ class TestValidate:
         cfg = tmp_path / "cfg.json"
         write_config(cfg, solver="exact", eta_grid=None)
         assert cli.main(["validate", str(cfg)]) == 0
+
+
+SMALL_TAXI = {
+    "env": "taxi", "solver": "boltzmann_dqn", "eta_grid": [0.1], "seeds": [0],
+    "iterations": 1, "particles": {"num_meanfields": 1, "num_particles": 10},
+    "eval_episodes": 2, "dqn": {"epochs": 2, "hidden_width": 8},
+}
+PRIOR_DESCENT = {"outer": 2, "inner": 5, "c": 1.0}
+
+# Mistakes that a solver, particle or DQN constructor, the prior loader or
+# the key check rejects; both verbs must exit 1 before any cell runs.
+# Value: (overrides, prior file contents or None, fragment of the problem).
+MISCONFIGURED = {
+    "boltzmann_eta_zero": ({"eta_grid": [0.0]}, None, "temperature"),
+    "prior_descent_c_below_one": (
+        {"prior_descent": {**PRIOR_DESCENT, "c": 0.5}}, None, "c must be >= 1"
+    ),
+    "prior_descent_inner_zero": (
+        {"prior_descent": {**PRIOR_DESCENT, "inner": 0}}, None, "max_iterations"
+    ),
+    "negative_convergence_tol": ({"convergence_tol": -1}, None, "convergence_tol"),
+    "zero_window": ({"window": 0}, None, "window"),
+    "zero_replicates": (
+        {**SMALL_TAXI, "particles": {"num_meanfields": 0, "num_particles": 10}},
+        None,
+        "replicate",
+    ),
+    "tabular_prior_with_zero": (
+        {"env": "lr"}, [[[1.0, 0.0]] * 3] * 2, "strictly positive"
+    ),
+    "taxi_prior_with_zero": (SMALL_TAXI, [0.0, 0.25, 0.25, 0.25, 0.25], "strictly positive"),
+    "taxi_zero_eval_episodes": ({**SMALL_TAXI, "eval_episodes": 0}, None, "eval_episodes"),
+    "unknown_top_level_key": ({"iteration": 5}, None, "'iteration'"),
+    "prior_descent_eta0": (
+        {"prior_descent": {**PRIOR_DESCENT, "eta0": 2.0}}, None, "'eta0'"
+    ),
+    "particles_seed": (
+        {**SMALL_TAXI, "particles": {"num_meanfields": 1, "num_particles": 10, "seed": 3}},
+        None,
+        "seed",
+    ),
+    "non_integer_seed": ({**SMALL_TAXI, "seeds": ["a"]}, None, "seeds"),
+    "non_integer_iterations": ({"iterations": "5"}, None, "iterations"),
+    "non_integer_workers": ({"workers": "2"}, None, "workers"),
+    "scalar_eta_grid": ({"eta_grid": 1.0}, None, "eta_grid"),
+}
+
+
+class TestValidateBuildsEveryCell:
+    @pytest.mark.parametrize("case", sorted(MISCONFIGURED))
+    def test_mistake_is_a_config_error(self, tmp_path, capsys, case):
+        overrides, prior, fragment = MISCONFIGURED[case]
+        if prior is not None:
+            path = tmp_path / "prior.json"
+            path.write_text(json.dumps(prior))
+            overrides = {**overrides, "prior": f"from_file:{path}"}
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **overrides)
+        assert cli.main(["validate", str(cfg)]) == 1
+        assert fragment in capsys.readouterr().out
+        assert cli.main(["run", str(cfg)]) == 1
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(glob.glob(os.path.join(REPO, "configs", "*.json")))
+        + [os.path.join(REPO, "perfbench", "configs", "taxi_bench.json")],
+        ids=os.path.basename,
+    )
+    def test_shipped_config_validates(self, path, capsys):
+        assert cli.main(["validate", path]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
 
 
 class TestListEnvs:

@@ -40,7 +40,11 @@ class TestConfigValidation:
 
     def test_prior_descent_c_below_one(self):
         with pytest.raises(ConfigError):
-            PriorDescentConfig(outer_iterations=2, inner_iterations=5, eta0=1.0, c=0.5)
+            PriorDescentConfig(
+                SolverConfig(max_iterations=5, mode="boltzmann", eta=1.0),
+                outer_iterations=2,
+                c=0.5,
+            )
 
 
 class TestExactFpi:
@@ -258,7 +262,9 @@ class TestPriorDescent:
         pd = prior_descent(
             env,
             PriorDescentConfig(
-                outer_iterations=1, inner_iterations=30, eta0=1.0, c=2.0
+                SolverConfig(max_iterations=30, mode="boltzmann", eta=1.0),
+                outer_iterations=1,
+                c=2.0,
             ),
         )
         inner = boltzmann_iteration(
@@ -271,7 +277,11 @@ class TestPriorDescent:
         env = make_lr()
         pd = prior_descent(
             env,
-            PriorDescentConfig(outer_iterations=3, inner_iterations=5, eta0=1.0, c=2.0),
+            PriorDescentConfig(
+                SolverConfig(max_iterations=5, mode="boltzmann", eta=1.0),
+                outer_iterations=3,
+                c=2.0,
+            ),
         )
         etas = [r.eta for r in pd.records]
         assert etas[:5] == [1.0] * 5
@@ -284,11 +294,11 @@ class TestPriorDescent:
         pd = prior_descent(
             env,
             PriorDescentConfig(
+                SolverConfig(
+                    max_iterations=150, mode="boltzmann", eta=1.0, convergence_tol=1e-12
+                ),
                 outer_iterations=20,
-                inner_iterations=150,
-                eta0=1.0,
                 c=1.0,
-                convergence_tol=1e-12,
             ),
         )
         assert pd.records[-1].exploitability < 1e-4
@@ -298,7 +308,9 @@ class TestPriorDescent:
         pd = prior_descent(
             env,
             PriorDescentConfig(
-                outer_iterations=20, inner_iterations=100, eta0=0.1, c=1.0, mode="relent"
+                SolverConfig(max_iterations=100, mode="relent", eta=0.1),
+                outer_iterations=20,
+                c=1.0,
             ),
         )
         ends = [
@@ -310,7 +322,9 @@ class TestPriorDescent:
     def test_deterministic_replay(self):
         env = make_lr()
         cfg = PriorDescentConfig(
-            outer_iterations=4, inner_iterations=20, eta0=0.8, c=1.3
+            SolverConfig(max_iterations=20, mode="boltzmann", eta=0.8),
+            outer_iterations=4,
+            c=1.3,
         )
         a = prior_descent(env, cfg)
         b = prior_descent(env, cfg)
@@ -336,15 +350,18 @@ class TestPriorDescent:
     def test_series_match_restarting_each_outer_iteration(self, fp_meanfield):
         env = make_sis()
         cfg = PriorDescentConfig(
-            outer_iterations=3, inner_iterations=4, eta0=0.15, c=1.2, mode="relent",
-            fp_average_meanfield=fp_meanfield,
+            SolverConfig(
+                max_iterations=4, mode="relent", eta=0.15, fp_average_meanfield=fp_meanfield
+            ),
+            outer_iterations=3,
+            c=1.2,
         )
-        expected, prior, eta = [], None, cfg.eta0
+        expected, prior, eta = [], None, cfg.inner.eta
         for _ in range(cfg.outer_iterations):
             inner = boltzmann_iteration(
                 env,
                 SolverConfig(
-                    max_iterations=cfg.inner_iterations, mode="relent", eta=eta,
+                    max_iterations=cfg.inner.max_iterations, mode="relent", eta=eta,
                     prior=prior, fp_average_meanfield=fp_meanfield,
                 ),
             )
