@@ -141,6 +141,13 @@ def validate_config(cfg: dict) -> list[str]:
         for key in ("fp_policy", "fp_meanfield", "prior_descent"):
             if cfg.get(key):
                 problems.append(f"{key} is not supported with solver 'boltzmann_dqn'")
+        # The learned loop runs every iteration and keeps its own window.
+        for key in ("convergence_tol", "window"):
+            if cfg.get(key, DEFAULTS[key]) != DEFAULTS[key]:
+                problems.append(
+                    f"{key} is not supported with solver 'boltzmann_dqn'"
+                    f" (only the default {DEFAULTS[key]!r})"
+                )
         if not _is_count(cfg.get("eval_episodes", 1)):
             problems.append("eval_episodes must be an integer >= 1")
     if env == "taxi" and solver != "boltzmann_dqn":

@@ -10,6 +10,11 @@ One environment step is followed by one minibatch descent step; updates start
 once the buffer holds a full batch, the target network is synced on a fixed
 step period, and terminal transitions (the last step of the finite horizon)
 carry no bootstrap term.
+
+Training runs in float32: the network is cast once after initialisation, the
+target network copies its parameters, and the replay buffer stores
+observations in float32 (one-hot entries, flags and the integer time, all
+exact there).  The trained network is returned in float32.
 """
 
 from __future__ import annotations
@@ -65,10 +70,10 @@ class ReplayBuffer:
 
     def __init__(self, capacity: int, obs_dim: int):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
+        self.obs = np.zeros((capacity, obs_dim), dtype=np.float32)
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim))
+        self.next_obs = np.zeros((capacity, obs_dim), dtype=np.float32)
         self.terminals = np.zeros(capacity)
         self._next = 0
         self._size = 0
@@ -113,9 +118,9 @@ def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetw
         seed=init_ss,
         metadata={"seed": seed},
     )
-    target = net.params_copy()
+    net.set_params({k: v.astype(np.float32) for k, v in net.params.items()})
     target_net = DuelingQNetwork(env.obs_dim, env.num_actions, hp.hidden_width)
-    target_net.set_params(target)
+    target_net.set_params(net.params)
     opt = Adam(hp.learning_rate)
     buffer = ReplayBuffer(hp.replay_capacity, env.obs_dim)
     total_steps = hp.epochs * env.horizon
@@ -145,6 +150,6 @@ def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetw
                 opt.step(net.params, grads)
             step += 1
             if step % hp.target_update_every == 0:
-                target_net.set_params(net.params_copy())
+                target_net.set_params(net.params)
             code, obs = nxt, next_obs
     return net

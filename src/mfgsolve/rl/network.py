@@ -3,8 +3,11 @@ adaptive-moment optimizer and global gradient-norm clipping it trains with.
 
 Architecture: one shared ReLU layer, then separate ReLU streams for the state
 value and the action advantages, combined as ``value + adv - mean(adv)``.
-Everything is plain float64 numpy; gradients are exact, which the test suite
-checks against central finite differences.
+Plain numpy in the parameters' dtype: a network is built in float64, and
+``dqn_train`` casts its network to float32, about twice as fast at the
+production shape.  Inputs are cast to the parameters' dtype, so float64
+observations never upcast a float32 pass.  Gradients are exact, which the
+test suite checks in float64 against central finite differences.
 """
 
 from __future__ import annotations
@@ -56,8 +59,12 @@ class DuelingQNetwork:
 
     # -- forward / backward -------------------------------------------------
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.params["shared_w"].dtype
+
     def forward(self, obs: np.ndarray) -> np.ndarray:
-        q, _ = self._forward_cached(np.asarray(obs, dtype=np.float64))
+        q, _ = self._forward_cached(np.asarray(obs, dtype=self.dtype))
         return q
 
     def _forward_cached(self, obs: np.ndarray):
@@ -95,19 +102,16 @@ class DuelingQNetwork:
         self, obs: np.ndarray, actions: np.ndarray, targets: np.ndarray
     ):
         """Mean squared TD error on the taken actions and its exact gradient."""
-        q, cache = self._forward_cached(np.asarray(obs, dtype=np.float64))
+        q, cache = self._forward_cached(np.asarray(obs, dtype=self.dtype))
         n = q.shape[0]
         rows = np.arange(n)
-        err = q[rows, actions] - targets
+        err = q[rows, actions] - np.asarray(targets, dtype=self.dtype)
         loss = float(np.mean(err**2))
         dq = np.zeros_like(q)
         dq[rows, actions] = 2.0 * err / n
         return loss, self._backward(cache, dq)
 
     # -- parameter plumbing --------------------------------------------------
-
-    def params_copy(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
         for k in PARAM_NAMES:
@@ -164,24 +168,39 @@ class Adam:
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._scratch = np.empty((2, 0))  # shared by all keys, grown on demand
+        # Shared by all keys, grown on demand in the gradients' dtype.
+        self._scratch = np.empty((2, 0))
+        self._keep = np.empty(0, dtype=bool)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Update ``params`` in place: ``m += (1 - beta1) * (g - m)``,
         ``v += (1 - beta2) * (g * g - v)`` and
         ``params -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``, one operation at
-        a time in scratch space, so bit for bit without temporaries."""
+        a time in scratch space of the gradients' dtype, without temporaries.
+
+        Then every moment below the dtype's smallest normal number is set to
+        0.  A coordinate whose gradient stays 0 (an input that is never on, a
+        dead ReLU) would otherwise decay into subnormal floats and stay stuck
+        at the smallest one, and arithmetic on subnormals is many times
+        slower.  The update such a moment makes is below lr * tiny / eps,
+        far below the ulp of any parameter.  The flush multiplies by a bool
+        mask, which is much cheaper than boolean-index assignment.
+        """
         self.step_count += 1
         b1c = 1.0 - self.beta1**self.step_count
         b2c = 1.0 - self.beta2**self.step_count
         size = max(g.size for g in grads.values())
-        if self._scratch.shape[1] < size:
-            self._scratch = np.empty((2, size))
+        dtype = next(iter(grads.values())).dtype
+        if self._scratch.shape[1] < size or self._scratch.dtype != dtype:
+            self._scratch = np.empty((2, size), dtype=dtype)
+            self._keep = np.empty(size, dtype=bool)
+        tiny = np.finfo(dtype).tiny
         for k, g in grads.items():
             if k not in self._m:
                 self._m[k], self._v[k] = np.zeros_like(g), np.zeros_like(g)
             m, v = self._m[k], self._v[k]
             num, den = (row[: g.size].reshape(g.shape) for row in self._scratch)
+            keep = self._keep[: g.size].reshape(g.shape)
             np.subtract(g, m, out=num)
             num *= 1.0 - self.beta1
             m += num
@@ -196,3 +215,8 @@ class Adam:
             den += self.eps
             num /= den
             params[k] -= num
+            np.abs(m, out=num)
+            np.greater_equal(num, tiny, out=keep)
+            m *= keep
+            np.greater_equal(v, tiny, out=keep)
+            v *= keep

@@ -66,15 +66,22 @@ class TestValidate:
         assert "taxi" in out
 
     @pytest.mark.parametrize(
-        "keys", [("fp_policy",), ("fp_meanfield",), ("fp_policy", "fp_meanfield")]
+        "keys",
+        [
+            {"fp_policy": True},
+            {"fp_meanfield": True},
+            {"fp_policy": True, "fp_meanfield": True},
+            {"convergence_tol": 0.5},
+            {"window": 2},
+        ],
     )
     def test_dqn_rejects_fictitious_play(self, tmp_path, capsys, keys):
-        # The learned loop has no fictitious play; a run must not drop the
-        # keys silently.
+        # The learned loop has no fictitious play, no early stop and a fixed
+        # window; a run must not drop these keys silently.
         cfg = tmp_path / "cfg.json"
         write_config(
             cfg, env="rps", solver="boltzmann_dqn", eta_grid=[0.5], seeds=[0],
-            **{key: True for key in keys},
+            **keys,
         )
         assert cli.main(["validate", str(cfg)]) == 1
         out = capsys.readouterr().out

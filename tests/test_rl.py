@@ -64,6 +64,60 @@ class TestNetwork:
         np.testing.assert_array_equal(net.forward(obs), loaded.forward(obs))
         assert loaded.metadata["env"] == "rps"
 
+    def test_float32_gradients_match_float64(self):
+        # The same parameters in both dtypes: the float32 backward pass
+        # agrees with the float64 one to float32 precision.
+        rng = np.random.default_rng(7)
+        net64 = DuelingQNetwork(10, 4, hidden_width=64, seed=8)
+        net32 = DuelingQNetwork(10, 4, hidden_width=64, seed=8)
+        net32.set_params({k: v.astype(np.float32) for k, v in net64.params.items()})
+        obs = rng.normal(size=(128, 10))
+        actions = rng.integers(4, size=128)
+        targets = rng.normal(size=128)
+        loss64, g64 = net64.loss_and_grad(obs, actions, targets)
+        loss32, g32 = net32.loss_and_grad(obs, actions, targets)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        norm = np.sqrt(sum(float(np.sum(g * g)) for g in g64.values()))
+        for name, g in g64.items():
+            assert g32[name].dtype == np.float32, name
+            assert np.abs(g32[name] - g).max() <= 1e-5 * norm, name
+
+
+class TestFloat32Network:
+    """A float32 network stays float32 whatever it is fed; a silent upcast
+    would cancel the speed-up without failing any accuracy test."""
+
+    @pytest.fixture()
+    def net(self):
+        net = DuelingQNetwork(6, 3, hidden_width=16, seed=9)
+        net.set_params({k: v.astype(np.float32) for k, v in net.params.items()})
+        return net
+
+    def test_float64_inputs_do_not_upcast(self, net):
+        rng = np.random.default_rng(10)
+        obs = rng.normal(size=(8, 6))
+        targets = rng.normal(size=8)
+        assert net.forward(obs).dtype == np.float32
+        _, grads = net.loss_and_grad(obs, rng.integers(3, size=8), targets)
+        assert all(g.dtype == np.float32 for g in grads.values())
+        Adam(lr=0.01).step(net.params, grads)
+        assert all(p.dtype == np.float32 for p in net.params.values())
+
+    def test_checkpoint_keeps_dtype(self, net, tmp_path):
+        path = str(tmp_path / "q.npz")
+        net.save(path)
+        loaded = DuelingQNetwork.load(path)
+        assert all(p.dtype == np.float32 for p in loaded.params.values())
+        obs = np.random.default_rng(11).normal(size=(5, 6))
+        np.testing.assert_array_equal(net.forward(obs), loaded.forward(obs))
+
+    def test_dqn_train_returns_float32(self):
+        env = make_rps()
+        mu = dp.induced_mean_field(env, Policy.uniform(env.horizon, 4, 3))
+        hp = DqnHyperparams(epochs=20, batch_size=8, hidden_width=16)
+        net = dqn_train(env, mu, hp, seed=0)
+        assert all(p.dtype == np.float32 for p in net.params.values())
+
 
 class TestAdam:
     def test_quadratic_converges(self):
@@ -73,6 +127,23 @@ class TestAdam:
         for _ in range(10000):
             opt.step(params, {"x": 2.0 * (params["x"] - target)})
         assert np.abs(params["x"] - target).max() < 1e-6
+
+    @pytest.mark.parametrize("dtype, steps", [(np.float32, 2000), (np.float64, 12000)])
+    def test_idle_moments_never_subnormal(self, dtype, steps):
+        # A coordinate whose gradient stays 0 (a dead ReLU, an input that is
+        # never on) decays its moments geometrically; left alone they sink
+        # into subnormal floats, where every later step is slow.
+        params = {"w": np.ones((2, 2), dtype=dtype), "b": np.ones(2, dtype=dtype)}
+        opt = Adam(lr=0.01)
+        opt.step(params, {k: np.full_like(p, 1e-3) for k, p in params.items()})
+        idle = {k: np.zeros_like(p) for k, p in params.items()}
+        for _ in range(steps):
+            opt.step(params, idle)
+        tiny = np.finfo(dtype).tiny
+        for moments in (opt._m, opt._v):
+            for x in moments.values():
+                assert np.all((x == 0.0) | (np.abs(x) >= tiny))
+        assert all(p.dtype == dtype for p in params.values())
 
 
 class TestClipping:
