@@ -2,9 +2,10 @@
 mean field, on dense (T, S, A) tables; everything here is pure.
 
 A flow's MDP is its rewards and kernels at every time step, ``FlowTables``.
-Each recursion over a frozen flow builds them with ``flow_tables`` unless the
-caller passes them in, so several recursions on one flow (a best response
-and a policy evaluation, say) build them once.  There is one backward
+``flow_tables`` builds them with one stacked table call each over the whole
+flow, and each recursion over a frozen flow calls it unless the caller passes
+the tables in, so several recursions on one flow (a best response and a
+policy evaluation, say) build them once.  There is one backward
 recursion, ``_backward``: ``optimal_q`` (hard max), ``soft_q`` (smooth max
 with a prior) and ``policy_q`` (policy-weighted sum) differ only in how they
 value the next time slice.  There is one forward pass,
@@ -86,24 +87,24 @@ def check_policy(env, pi: Policy) -> None:
 
 @dataclass(frozen=True)
 class FlowTables:
-    """The MDP a frozen flow induces: ``rewards[t]`` is ``R[s, a]`` and
-    ``kernels[t]`` is ``P[s, a, s']`` at ``mu.at(t)``.  The last time step
-    has a reward but no kernel, since nothing follows it."""
+    """The MDP a frozen flow induces: ``rewards`` (T, S, A) and ``kernels``
+    (T - 1, S, A, S) hold ``R[s, a]`` and ``P[s, a, s']`` at each ``mu.at(t)``.
+    The last time step has a reward but no kernel, since nothing follows it."""
 
     mu: MeanField
-    rewards: tuple[np.ndarray, ...]
-    kernels: tuple[np.ndarray, ...]
+    rewards: np.ndarray
+    kernels: np.ndarray
 
 
 def flow_tables(env: EnvironmentSpec, mu: MeanField) -> FlowTables:
-    """Build the flow's rewards and kernels, one table call per time step."""
+    """Build the flow's rewards and kernels with one stacked table call each:
+    every coefficient of the game is read once per flow, not once per step."""
     check_tabular(env)
     check_meanfield(env, mu)
-    T = env.horizon
     return FlowTables(
         mu=mu,
-        rewards=tuple(env.reward_table(mu.at(t)) for t in range(T)),
-        kernels=tuple(env.transition_table(mu.at(t)) for t in range(T - 1)),
+        rewards=env.reward_table(mu.per_time),
+        kernels=env.transition_table(mu.per_time[:-1]),
     )
 
 
@@ -270,7 +271,7 @@ def regularized_objective(
     p = pi.per_time_state
     log_ratio = np.log(np.where(p > 0.0, p, 1.0)) - np.log(prior.per_time_state)
     kl = np.sum(np.where(p > 0.0, p * log_ratio, 0.0), axis=2, keepdims=True)
-    rewards = tuple(r - eta * kl_t for r, kl_t in zip(tabs.rewards, kl))
+    rewards = tabs.rewards - eta * kl
     return objective_value(env, mu, pi, tables=FlowTables(mu, rewards, tabs.kernels))
 
 

@@ -4,9 +4,12 @@ Transitions and rewards take the current state distribution as an argument,
 which is what couples a single agent to the population.  Every tabular game
 is affine in that distribution, so ``EnvironmentSpec`` stores its dynamics as
 the affine coefficient arrays, and its table primitive, ``transition_table``
-/ ``reward_table``, turns one state distribution into the dense kernel and
-reward tables the dynamic-programming routines consume (one batched
-matrix-vector product each).
+/ ``reward_table``, turns a state distribution into the dense kernel and
+reward tables the dynamic-programming routines consume.  It takes one
+distribution (S,), or a stack (n, S) such as a whole flow: a stack costs one
+matrix product, which reads every coefficient once for all n tables.  A
+kernel or reward that does not depend on the distribution has no
+coefficient array, and its table is the base table itself.
 
 On those arrays ``EnvironmentSpec`` also answers the sampling interface of
 the taxi game (``initial_codes``, ``step_codes``, ``observe_codes``,
@@ -34,9 +37,9 @@ class EnvironmentSpec:
     ``p(s' | s, a, mu) = transition_base[s, a, s'] + transition_mu_coef[s, a, s'] . mu``.
 
     ``num_states`` and ``num_actions`` are read off ``reward_base``; an absent
-    coefficient is zero (constant kernels and mu-free rewards).  Immutable
-    and shareable; ``validate_dynamics`` checks that the kernel is a
-    distribution at every ``mu``.
+    coefficient stays None (constant kernels and mu-free rewards), so nothing
+    multiplies zeros.  Immutable and shareable; ``validate_dynamics`` checks
+    that the kernel is a distribution at every ``mu``.
     """
 
     name: str
@@ -66,7 +69,7 @@ class EnvironmentSpec:
         ):
             value = getattr(self, field_name)
             if value is None and field_name.endswith("_coef"):
-                value = np.zeros(shape)
+                continue
             arr = np.asarray(value, dtype=np.float64)
             if arr.shape != shape:
                 raise DimensionError(
@@ -91,14 +94,15 @@ class EnvironmentSpec:
     def num_actions(self) -> int:
         return self.reward_base.shape[1]
 
-    def transition_table(self, mu_t: np.ndarray) -> np.ndarray:
-        """Dense kernel ``P[s, a, s']`` at the given state distribution."""
-        return self.transition_base + self.transition_mu_coef @ mu_t
+    def transition_table(self, mu: np.ndarray) -> np.ndarray:
+        """Dense kernel ``P[s, a, s']`` at a state distribution ``mu`` (S,),
+        or ``P[i, s, a, s']`` at each row ``mu[i]`` of a stack (n, S)."""
+        return _affine(self.transition_base, self.transition_mu_coef, mu, self.num_states)
 
-    def reward_table(self, mu_t: np.ndarray) -> np.ndarray:
-        """Dense rewards ``R[s, a]`` at the given state distribution."""
-        # (1, S) @ (S,) per (s, a): a dot product each, as ``step_codes`` takes it.
-        return self.reward_base + (self.reward_mu_coef[:, :, None, :] @ mu_t)[:, :, 0]
+    def reward_table(self, mu: np.ndarray) -> np.ndarray:
+        """Dense rewards ``R[s, a]`` at a state distribution ``mu`` (S,), or
+        ``R[i, s, a]`` at each row ``mu[i]`` of a stack (n, S)."""
+        return _affine(self.reward_base, self.reward_mu_coef, mu, 1)
 
     # Sampling interface, shared with games too large to tabulate (taxi):
     # a state is an integer code, here the state index itself.
@@ -146,10 +150,12 @@ class EnvironmentSpec:
         if 3 * np.count_nonzero(np.bincount(flat, minlength=num_pairs)) < num_pairs:
             pairs, inv = np.unique(flat, return_inverse=True)
             s, a = np.divmod(pairs, self.num_actions)
-            rows = (self.transition_base[s, a] + self.transition_mu_coef[s, a] @ mu_t)[inv]
-            rewards = (
-                self.reward_base[s, a] + (self.reward_mu_coef[s, a][:, None, :] @ mu_t)[:, 0]
-            )[inv]
+
+            def at_pairs(base, coef, pair_rows):
+                return _affine(base[s, a], None if coef is None else coef[s, a], mu_t, pair_rows)
+
+            rows = at_pairs(self.transition_base, self.transition_mu_coef, self.num_states)[inv]
+            rewards = at_pairs(self.reward_base, self.reward_mu_coef, 1)[inv]
         else:
             rows = self.transition_table(mu_t)[codes, actions]
             rewards = self.reward_table(mu_t)[codes, actions]
@@ -170,11 +176,13 @@ class EnvironmentSpec:
         kernels ``transition_base + transition_mu_coef[..., j]``, so it is
         valid on the whole simplex if and only if every vertex kernel is.
         They are checked one state s at a time, so no second array the size
-        of ``transition_mu_coef`` is allocated.
+        of ``transition_mu_coef`` is allocated.  A constant kernel is its
+        own single vertex.
         """
+        coef = self.transition_mu_coef
         for s in range(self.num_states):
             # vertices[a, s', j]: the kernel row of (s, a) at the flow e_j.
-            vertices = self.transition_base[s, :, :, None] + self.transition_mu_coef[s]
+            vertices = self.transition_base[s, :, :, None] + (0.0 if coef is None else coef[s])
             # Negated comparisons, so that NaN fails them too.
             checks = (
                 (~(vertices >= -SIMPLEX_ATOL).all(axis=1), "has negative mass"),
@@ -184,8 +192,32 @@ class EnvironmentSpec:
                 if bad.any():
                     a, j = np.argwhere(bad)[0]
                     raise ValueError(f"transition({s}, {a}) {what} at the flow e_{j}")
-        if not np.isfinite(self.reward_base).all() or not np.isfinite(self.reward_mu_coef).all():
-            raise ValueError("non-finite reward coefficient")
+        for arr in (self.reward_base, self.reward_mu_coef):
+            if arr is not None and not np.isfinite(arr).all():
+                raise ValueError("non-finite reward coefficient")
+
+
+def _affine(base, coef, mu, pair_rows: int) -> np.ndarray:
+    """``base + coef . mu`` at one distribution ``mu`` (S,), or at each row of
+    a stack ``mu`` (n, S) with the n tables stacked first.
+
+    One distribution takes one product per (s, a) pair, of its (pair_rows, S)
+    block of ``coef`` with ``mu`` (a matrix-vector product for a kernel, a
+    dot product for a reward): the products ``step_codes`` takes for a few
+    pairs, so a step's rows equal the table's bit for bit.  A stack is one
+    matrix product against ``coef`` read as a (base.size, S) matrix, so each
+    coefficient is loaded once for the whole stack, and ``base`` is added in
+    place.  Without a coefficient the table is ``base`` itself: read-only,
+    broadcast over a stack.
+    """
+    mu = np.asarray(mu)
+    if coef is None:
+        return np.broadcast_to(base, mu.shape[:-1] + base.shape)
+    if mu.ndim == 1:
+        return base + (coef.reshape(-1, pair_rows, len(mu)) @ mu).reshape(base.shape)
+    out = (mu @ coef.reshape(-1, mu.shape[-1]).T).reshape(mu.shape[:-1] + base.shape)
+    out += base
+    return out
 
 
 def load_custom_env(path: str) -> EnvironmentSpec:

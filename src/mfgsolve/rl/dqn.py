@@ -111,13 +111,7 @@ def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetw
     check_meanfield(env, mu)
     init_ss, run_ss = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(run_ss)
-    net = DuelingQNetwork(
-        env.obs_dim,
-        env.num_actions,
-        hp.hidden_width,
-        seed=init_ss,
-        metadata={"seed": seed},
-    )
+    net = DuelingQNetwork(env.obs_dim, env.num_actions, hp.hidden_width, seed=init_ss)
     net.set_params({k: v.astype(np.float32) for k, v in net.params.items()})
     target_net = DuelingQNetwork(env.obs_dim, env.num_actions, hp.hidden_width)
     target_net.set_params(net.params)

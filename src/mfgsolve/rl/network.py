@@ -12,8 +12,6 @@ test suite checks in float64 against central finite differences.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 PARAM_NAMES = (
@@ -21,8 +19,6 @@ PARAM_NAMES = (
     "value_w1", "value_b1", "value_w2", "value_b2",
     "adv_w1", "adv_b1", "adv_w2", "adv_b2",
 )
-
-CHECKPOINT_FORMAT = 1
 
 
 def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int):
@@ -42,12 +38,10 @@ class DuelingQNetwork:
         num_actions: int,
         hidden_width: int = 256,
         seed: int = 0,
-        metadata: dict | None = None,
     ):
         self.obs_dim = obs_dim
         self.num_actions = num_actions
         self.hidden_width = hidden_width
-        self.metadata = dict(metadata or {})
         rng = np.random.default_rng(seed)
         p = {}
         p["shared_w"], p["shared_b"] = _linear_init(rng, obs_dim, hidden_width)
@@ -116,34 +110,6 @@ class DuelingQNetwork:
     def set_params(self, params: dict[str, np.ndarray]) -> None:
         for k in PARAM_NAMES:
             self.params[k] = params[k].copy()
-
-    def save(self, path: str) -> None:
-        """Checkpoint: versioned npz with row-major weights and JSON metadata."""
-        meta = {
-            "format": CHECKPOINT_FORMAT,
-            "obs_dim": self.obs_dim,
-            "num_actions": self.num_actions,
-            "hidden_width": self.hidden_width,
-            "metadata": self.metadata,
-        }
-        np.savez(path, __meta__=json.dumps(meta), **self.params)
-
-    @classmethod
-    def load(cls, path: str) -> "DuelingQNetwork":
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["__meta__"]))
-            if meta.get("format") != CHECKPOINT_FORMAT:
-                raise ValueError(
-                    f"unsupported checkpoint format {meta.get('format')!r}"
-                )
-            net = cls(
-                meta["obs_dim"],
-                meta["num_actions"],
-                meta["hidden_width"],
-                metadata=meta.get("metadata"),
-            )
-            net.set_params({k: data[k] for k in PARAM_NAMES})
-        return net
 
 
 def clip_gradients(

@@ -417,6 +417,35 @@ def draw_game(game):
     return env, random_mean_field(rng, env), random_policy(rng, env), random_policy(rng, env)
 
 
+class TestFlowTables:
+    def test_one_table_call_each(self, monkeypatch):
+        # The whole flow goes through the table primitive as one stack.
+        rng = np.random.default_rng(17)
+        env = random_affine_env(rng, 6, 4, 3)
+        mu = random_mean_field(rng, env)
+        calls = []
+        for name in ("transition_table", "reward_table"):
+            original = getattr(EnvironmentSpec, name)
+
+            def counted(self, mu_arg, _name=name, _original=original):
+                calls.append((_name, mu_arg.shape))
+                return _original(self, mu_arg)
+
+            monkeypatch.setattr(EnvironmentSpec, name, counted)
+        tabs = dp.flow_tables(env, mu)
+        assert sorted(calls) == [("reward_table", (6, 4)), ("transition_table", (5, 4))]
+        assert tabs.rewards.shape == (6, 4, 3)
+        assert tabs.kernels.shape == (5, 4, 3, 4)
+
+    def test_horizon_one_has_no_kernels(self):
+        env = random_affine_env(np.random.default_rng(18), 1, 3, 2)
+        tabs = dp.flow_tables(env, dp.induced_mean_field(env, uniform(env)))
+        assert tabs.kernels.shape == (0, 3, 2, 3)
+        np.testing.assert_allclose(
+            dp.optimal_q(env, tabs.mu, tables=tabs).values[0], tabs.rewards[0]
+        )
+
+
 class TestOneBackwardRecursion:
     @settings(max_examples=150, deadline=None)
     @given(game=games, eta=temperatures)

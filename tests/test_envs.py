@@ -133,14 +133,25 @@ class TestDynamicsInvariants:
         assert np.all(np.isin(base, (0.0, 1.0)))
 
 
+def dense_coefs(env):
+    """The game's coefficient arrays, with an absent (constant) one as zeros."""
+    S, A = env.num_states, env.num_actions
+    k_coef, r_coef = env.transition_mu_coef, env.reward_mu_coef
+    return (
+        np.zeros((S, A, S, S)) if k_coef is None else k_coef,
+        np.zeros((S, A, S)) if r_coef is None else r_coef,
+    )
+
+
 def per_pair_tables(env, mu):
     """Kernel and rewards built one (s, a) at a time from the affine formula."""
     S, A = env.num_states, env.num_actions
+    k_coef, r_coef = dense_coefs(env)
     kernel, rewards = np.empty((S, A, S)), np.empty((S, A))
     for s in range(S):
         for a in range(A):
-            kernel[s, a] = env.transition_base[s, a] + env.transition_mu_coef[s, a] @ mu
-            rewards[s, a] = env.reward_base[s, a] + env.reward_mu_coef[s, a] @ mu
+            kernel[s, a] = env.transition_base[s, a] + k_coef[s, a] @ mu
+            rewards[s, a] = env.reward_base[s, a] + r_coef[s, a] @ mu
     return kernel, rewards
 
 
@@ -173,6 +184,58 @@ class TestAffineTables:
         assert np.all(kernel >= 0.0)
         np.testing.assert_allclose(kernel.sum(axis=-1), 1.0, rtol=0.0, atol=SIMPLEX_ATOL)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_states=st.integers(1, 12),
+        num_actions=st.integers(1, 4),
+        num_rows=st.integers(0, 6),
+        mu_reward=st.booleans(),
+        mu_transition=st.booleans(),
+    )
+    def test_stacked_rows_match_single_tables(
+        self, seed, num_states, num_actions, num_rows, mu_reward, mu_transition
+    ):
+        # A stack is one matrix product, a single table a product per (s, a):
+        # the same S + 1 terms summed in another order.  Each order is off
+        # by at most S ulps of the summed magnitudes, so the two differ by
+        # at most 2 (S + 1) of them (observed: up to 4 at S = 12).
+        rng = np.random.default_rng(seed)
+        env = random_affine_env(
+            rng, 2, num_states, num_actions, mu_reward, mu_transition
+        )
+        mu = rng.dirichlet(np.ones(num_states), size=num_rows)
+        kernels, rewards = env.transition_table(mu), env.reward_table(mu)
+        assert kernels.shape == (num_rows, num_states, num_actions, num_states)
+        assert rewards.shape == (num_rows, num_states, num_actions)
+        k_coef, r_coef = dense_coefs(env)
+        for i in range(num_rows):
+            for got, want, base, coef in (
+                (kernels[i], env.transition_table(mu[i]), env.transition_base, k_coef),
+                (rewards[i], env.reward_table(mu[i]), env.reward_base, r_coef),
+            ):
+                scale = np.abs(base) + np.abs(coef) @ mu[i]
+                bound = 2 * (num_states + 1) * np.spacing(scale)
+                assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("make", [make_lr, make_rps, make_sis])
+    def test_constant_tables_are_the_read_only_base(self, make):
+        # lr and rps have constant kernels, sis a mu-free reward: no
+        # coefficient is stored, and the table is the base itself.
+        env = make()
+        mu = np.random.default_rng(3).dirichlet(np.ones(env.num_states), size=5)
+        for coef, base, table in (
+            (env.transition_mu_coef, env.transition_base, env.transition_table),
+            (env.reward_mu_coef, env.reward_base, env.reward_table),
+        ):
+            if coef is not None:
+                continue
+            for got in (table(mu[0]), *table(mu)):
+                np.testing.assert_array_equal(got, base)
+                assert not got.flags.writeable
+        assert (env.transition_mu_coef is None) == (env.name != "sis")
+        assert (env.reward_mu_coef is None) == (env.name == "sis")
+
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -194,9 +257,9 @@ class TestAffineTables:
         # and the kernel is invalid only near the flow e_j.
         s, a, j = (data.draw(st.integers(0, n - 1)) for n in (num_states, num_actions, num_states))
         nxt, other = data.draw(st.permutations(range(num_states)))[:2]
-        shift = env.transition_base[s, a, nxt] + env.transition_mu_coef[s, a, nxt, j]
+        coef = dense_coefs(env)[0].copy()
+        shift = env.transition_base[s, a, nxt] + coef[s, a, nxt, j]
         shift += 2 * SIMPLEX_ATOL
-        coef = env.transition_mu_coef.copy()
         coef[s, a, nxt, j] -= shift
         coef[s, a, other, j] += shift
         with pytest.raises(ValueError, match="negative mass"):

@@ -54,16 +54,6 @@ class TestNetwork:
                 denom = max(abs(fd), abs(gf[i]), 1e-6)
                 assert abs(fd - gf[i]) / denom < 1e-4, name
 
-    def test_checkpoint_roundtrip(self, tmp_path):
-        net = DuelingQNetwork(6, 4, hidden_width=12, seed=3, metadata={"env": "rps", "seed": 3})
-        path = str(tmp_path / "q.npz")
-        net.save(path)
-        loaded = DuelingQNetwork.load(path)
-        rng = np.random.default_rng(4)
-        obs = rng.normal(size=(5, 6))
-        np.testing.assert_array_equal(net.forward(obs), loaded.forward(obs))
-        assert loaded.metadata["env"] == "rps"
-
     def test_float32_gradients_match_float64(self):
         # The same parameters in both dtypes: the float32 backward pass
         # agrees with the float64 one to float32 precision.
@@ -102,14 +92,6 @@ class TestFloat32Network:
         assert all(g.dtype == np.float32 for g in grads.values())
         Adam(lr=0.01).step(net.params, grads)
         assert all(p.dtype == np.float32 for p in net.params.values())
-
-    def test_checkpoint_keeps_dtype(self, net, tmp_path):
-        path = str(tmp_path / "q.npz")
-        net.save(path)
-        loaded = DuelingQNetwork.load(path)
-        assert all(p.dtype == np.float32 for p in loaded.params.values())
-        obs = np.random.default_rng(11).normal(size=(5, 6))
-        np.testing.assert_array_equal(net.forward(obs), loaded.forward(obs))
 
     def test_dqn_train_returns_float32(self):
         env = make_rps()
