@@ -42,7 +42,6 @@ from .exploitability import (
     exploitability_stochastic,
 )
 from .sim import (
-    EmpiricalMeanField,
     ParticleConfig,
     evaluate_policy_stochastic,
     simulate_mean_field,
@@ -93,7 +92,6 @@ __all__ = [
     "exploitability_exact",
     "exploitability_stochastic",
     "ParticleConfig",
-    "EmpiricalMeanField",
     "simulate_mean_field",
     "evaluate_policy_stochastic",
     "SolverConfig",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -92,6 +93,10 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 1
 
 
+def _is_nonnegative_real(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Structural checks, then every cell built as ``run`` builds it (but
     not run); returns a list of problems (empty = ok)."""
@@ -112,8 +117,8 @@ def validate_config(cfg: dict) -> list[str]:
     if solver != "exact":
         if not eta_grid or not isinstance(eta_grid, list):
             problems.append("eta_grid must be a nonempty list unless solver='exact'")
-        elif any(not isinstance(x, (int, float)) or x < 0 for x in eta_grid):
-            problems.append("eta_grid entries must be nonnegative reals")
+        elif not all(_is_nonnegative_real(x) for x in eta_grid):
+            problems.append("eta_grid entries must be finite nonnegative reals")
     seeds = cfg.get("seeds")
     if (
         not seeds
@@ -121,9 +126,11 @@ def validate_config(cfg: dict) -> list[str]:
         or any(type(s) is not int or s < 0 for s in seeds)
     ):
         problems.append("seeds must be a nonempty list of nonnegative integers")
-    for key in ("iterations", "workers"):
+    for key in ("iterations", "window", "workers"):
         if not _is_count(cfg.get(key, 1)):
             problems.append(f"{key} must be an integer >= 1")
+    if not _is_nonnegative_real(cfg.get("convergence_tol", 0.0)):
+        problems.append("convergence_tol must be a finite nonnegative real")
     prior = cfg.get("prior", "uniform")
     if isinstance(prior, str) and prior.startswith("from_file:"):
         if not os.path.exists(prior.split(":", 1)[1]):
@@ -141,13 +148,6 @@ def validate_config(cfg: dict) -> list[str]:
         for key in ("fp_policy", "fp_meanfield", "prior_descent"):
             if cfg.get(key):
                 problems.append(f"{key} is not supported with solver 'boltzmann_dqn'")
-        # The learned loop runs every iteration and keeps its own window.
-        for key in ("convergence_tol", "window"):
-            if cfg.get(key, DEFAULTS[key]) != DEFAULTS[key]:
-                problems.append(
-                    f"{key} is not supported with solver 'boltzmann_dqn'"
-                    f" (only the default {DEFAULTS[key]!r})"
-                )
         if not _is_count(cfg.get("eval_episodes", 1)):
             problems.append("eval_episodes must be an integer >= 1")
     if env == "taxi" and solver != "boltzmann_dqn":
@@ -236,6 +236,8 @@ def _cell(cfg: dict, env, eta: float | None, seed: int) -> Callable[[], Iteratio
             hp=hp,
             seed=seed,
             eval_episodes=cfg["eval_episodes"],
+            window=cfg["window"],
+            convergence_tol=cfg["convergence_tol"],
         )
     pd = cfg["prior_descent"]
     solver_cfg = SolverConfig(

@@ -38,18 +38,6 @@ class ParticleConfig:
             raise ValueError("need at least one replicate and one particle")
 
 
-@dataclass(frozen=True)
-class EmpiricalMeanField(MeanField):
-    """Across-replicate average of per-step empirical measures.
-
-    Rows are rational with denominator ``num_meanfields * num_particles``.
-    """
-
-    num_meanfields: int = 1
-    num_particles: int = 1
-    seed: int = 0
-
-
 class FixedActionPolicy:
     """One action distribution at every time and state; uniform unless
     ``probs`` is given."""
@@ -73,12 +61,13 @@ def _particle_flow(env, pi, num_particles: int, rng: np.random.Generator) -> np.
     return counts
 
 
-def simulate_mean_field(env, pi, cfg: ParticleConfig) -> EmpiricalMeanField:
+def simulate_mean_field(env, pi, cfg: ParticleConfig) -> MeanField:
     """Average empirical state flow over independent replicate populations.
 
     Each replicate holds ``num_particles`` particles; within one time step all
     particles see the same empirical measure (synchronous update).  Particles
-    interact only within their replicate.
+    interact only within their replicate.  Rows are rational with denominator
+    ``num_meanfields * num_particles``.
     """
     if isinstance(pi, Policy):
         check_policy(env, pi)
@@ -90,12 +79,7 @@ def simulate_mean_field(env, pi, cfg: ParticleConfig) -> EmpiricalMeanField:
     for rng in streams:
         flow = _particle_flow(env, pi, cfg.num_particles, rng)
         total = flow if total is None else total + flow
-    return EmpiricalMeanField(
-        per_time=total / cfg.num_meanfields,
-        num_meanfields=cfg.num_meanfields,
-        num_particles=cfg.num_particles,
-        seed=cfg.seed,
-    )
+    return MeanField(total / cfg.num_meanfields)
 
 
 def evaluate_policy_stochastic(

@@ -1,11 +1,15 @@
 """Equilibrium-seeking iterations on tabular environments.
 
-Four loops around the same skeleton (policy from the current flow, flow from
-the policy): exact fixed-point iteration with greedy policies, softmax
-iteration at a fixed temperature (over plain or entropy-regularized action
-values), optional fictitious-play averaging of policies and/or flows, and an
-outer prior-descent loop that re-anchors the prior at the latest solution
-while scaling the temperature geometrically.
+One fixed-point skeleton, ``fixed_point_loop``, runs every loop: from the
+current flow a step makes a policy, measures its exploitability and returns
+the next flow.  The skeleton alone times the iterations, keeps the records
+and the trailing flows, averages flows for fictitious play, stops on
+``convergence_tol`` and detects limit cycles.  The tabular step takes a greedy
+policy (exact fixed-point iteration) or a softmax one at a fixed temperature
+(over plain or entropy-regularized action values), optionally averaged with
+the previous policies; ``rl.loop`` supplies the learned step.  An outer
+prior-descent loop re-anchors the prior at the latest solution while scaling
+the temperature geometrically.
 
 All tabular runs are deterministic: identical configurations reproduce the
 same policies, flows, and exploitability series bit for bit (timing fields
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +36,7 @@ from .core import (
 )
 from .envs.base import EnvironmentSpec
 from .errors import ConfigError
-from .exploitability import exploitability_exact
+from .exploitability import ExploitabilityReport, exploitability_exact
 
 MODES = ("exact", "boltzmann", "relent")
 CYCLE_TOL = 1e-9
@@ -122,7 +127,7 @@ class IterationLog:
     converged: bool
     limit_cycle_period: int | None
     meanfield_history: list[np.ndarray]
-    window: int = 10
+    window: int
     outer_boundaries: list[int] = field(default_factory=list)
 
     @property
@@ -143,8 +148,8 @@ def detect_limit_cycle(
 ) -> int | None:
     """Smallest period ``p <= max_period`` the trailing flow snapshots repeat
     with, or None if aperiodic.  Snapshots settled on one point report
-    period 1; ``_iterate`` reports 1 outright for a run that stopped on
-    ``convergence_tol``."""
+    period 1; ``fixed_point_loop`` reports 1 outright for a run that stopped
+    on ``convergence_tol``."""
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     if len(history) < 2 * max_period:
@@ -179,35 +184,30 @@ def _policy_step(
     return dp.boltzmann_policy(q, cfg.eta, prior)
 
 
-def _iterate(env: EnvironmentSpec, cfg: SolverConfig, eta_label: float) -> IterationLog:
-    """Each flow's tables are built once and shared by every recursion on
-    it: the exploitability's best response and policy evaluation on the
-    induced flow, and the next policy step, which in exact and boltzmann
-    mode also reuses that best response's Q.  A flow mixed by fictitious
-    play is no policy's induced flow, so it gets tables of its own."""
-    dp.check_tabular(env)
-    prior = (cfg.prior or _uniform_prior(env)).require_positive()
-    mu = cfg.initial_mean_field or dp.induced_mean_field(env, prior)
+# (k, current flow, previous policy or None) -> (policy, report, next flow)
+Step = Callable[[int, MeanField, object], tuple[object, ExploitabilityReport, MeanField]]
+
+
+def fixed_point_loop(mu: MeanField, step: Step, cfg: SolverConfig) -> IterationLog:
+    """Iterate ``step`` from the start flow ``mu`` for at most
+    ``cfg.max_iterations`` iterations and log each one.
+
+    Only ``max_iterations``, ``fp_average_meanfield``, ``convergence_tol``,
+    ``window`` and ``eta`` (the records' label, 0 when None) are read here.
+    A step that keeps state between calls keys it to the flow it was built
+    on, so a flow mixed by fictitious play invalidates it.
+    """
+    eta = 0.0 if cfg.eta is None else cfg.eta
     history: deque[np.ndarray] = deque(maxlen=HISTORY_LEN)
     history.append(mu.per_time)
     records: list[IterationRecord] = []
-    pi = prior
+    pi = None
     converged = False
-    tables = qstar = None  # mu's tables, and its optimal Q once known
     for k in range(cfg.max_iterations):
         start = time.perf_counter()
-        if tables is None:
-            tables = dp.flow_tables(env, mu)
-        pi_new = _policy_step(env, tables, qstar, cfg, prior)
-        if cfg.fp_average_policy and k > 0:
-            pi_new = mix(pi_new, pi, 1.0 / (k + 1))
-        tables = None  # free mu's tables first: one flow's tables alive at a time
-        tables = dp.flow_tables(env, dp.induced_mean_field(env, pi_new))
-        report = exploitability_exact(env, pi_new, tables)
-        mu_next, qstar = tables.mu, report.best_response_q
+        pi_new, report, mu_next = step(k, mu, pi)
         if cfg.fp_average_meanfield and k > 0:
             mu_next = mix(mu_next, mu, 1.0 / (k + 1))
-            tables = qstar = None
         dist = meanfield_distance(mu_next, mu)
         records.append(
             IterationRecord(
@@ -215,8 +215,9 @@ def _iterate(env: EnvironmentSpec, cfg: SolverConfig, eta_label: float) -> Itera
                 exploitability=report.value,
                 mf_distance_prev=dist,
                 mf_distance_final=np.nan,
-                eta=eta_label,
+                eta=eta,
                 elapsed_s=time.perf_counter() - start,
+                std_error=report.std_error,
             )
         )
         history.append(mu_next.per_time)
@@ -246,11 +247,40 @@ def _iterate(env: EnvironmentSpec, cfg: SolverConfig, eta_label: float) -> Itera
     )
 
 
+def _iterate(env: EnvironmentSpec, cfg: SolverConfig) -> IterationLog:
+    """The skeleton with the tabular step.  Each flow's tables are built once
+    and shared by every recursion on it: the exploitability's best response
+    and policy evaluation on the induced flow, and the next policy step,
+    which in exact and boltzmann mode also reuses that best response's Q.  A
+    flow mixed by fictitious play is no policy's induced flow, so it gets
+    tables of its own."""
+    dp.check_tabular(env)
+    prior = (cfg.prior or _uniform_prior(env)).require_positive()
+    tables = qstar = None  # the last induced flow's tables, and its optimal Q
+
+    def step(k: int, mu: MeanField, pi: Policy | None):
+        nonlocal tables, qstar
+        if tables is None or tables.mu is not mu:
+            tables = qstar = None  # free the unmixed flow's tables first
+            tables = dp.flow_tables(env, mu)
+        pi_new = _policy_step(env, tables, qstar, cfg, prior)
+        if cfg.fp_average_policy and k > 0:
+            pi_new = mix(pi_new, pi, 1.0 / (k + 1))
+        tables = None  # one flow's tables alive at a time
+        tables = dp.flow_tables(env, dp.induced_mean_field(env, pi_new))
+        report = exploitability_exact(env, pi_new, tables)
+        qstar = report.best_response_q
+        return pi_new, report, tables.mu
+
+    mu = cfg.initial_mean_field or dp.induced_mean_field(env, prior)
+    return fixed_point_loop(mu, step, cfg)
+
+
 def exact_fpi(env: EnvironmentSpec, cfg: SolverConfig) -> IterationLog:
     """Greedy fixed-point iteration (optimal policy, then its induced flow)."""
     if cfg.mode != "exact":
         raise ConfigError(f"exact_fpi needs mode='exact', got {cfg.mode!r}")
-    return _iterate(env, cfg, eta_label=0.0)
+    return _iterate(env, cfg)
 
 
 def boltzmann_iteration(env: EnvironmentSpec, cfg: SolverConfig) -> IterationLog:
@@ -260,7 +290,7 @@ def boltzmann_iteration(env: EnvironmentSpec, cfg: SolverConfig) -> IterationLog
         raise ConfigError(
             f"boltzmann_iteration needs mode 'boltzmann' or 'relent', got {cfg.mode!r}"
         )
-    return _iterate(env, cfg, eta_label=cfg.eta)
+    return _iterate(env, cfg)
 
 
 def prior_descent(env: EnvironmentSpec, cfg: PriorDescentConfig) -> IterationLog:

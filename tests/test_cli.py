@@ -71,13 +71,11 @@ class TestValidate:
             {"fp_policy": True},
             {"fp_meanfield": True},
             {"fp_policy": True, "fp_meanfield": True},
-            {"convergence_tol": 0.5},
-            {"window": 2},
         ],
     )
     def test_dqn_rejects_fictitious_play(self, tmp_path, capsys, keys):
-        # The learned loop has no fictitious play, no early stop and a fixed
-        # window; a run must not drop these keys silently.
+        # The learned loop has no fictitious play; a run must not drop these
+        # keys silently.
         cfg = tmp_path / "cfg.json"
         write_config(
             cfg, env="rps", solver="boltzmann_dqn", eta_grid=[0.5], seeds=[0],
@@ -124,6 +122,11 @@ SMALL_TAXI = {
     "iterations": 1, "particles": {"num_meanfields": 1, "num_particles": 10},
     "eval_episodes": 2, "dqn": {"epochs": 2, "hidden_width": 8},
 }
+SMALL_RPS_DQN = {
+    "env": "rps", "solver": "boltzmann_dqn", "eta_grid": [0.5], "seeds": [0],
+    "iterations": 3, "particles": {"num_meanfields": 1, "num_particles": 20},
+    "dqn": {"epochs": 2, "hidden_width": 8},
+}
 PRIOR_DESCENT = {"outer": 2, "inner": 5, "c": 1.0}
 
 # Mistakes that a solver, particle or DQN constructor, the prior loader or
@@ -162,6 +165,13 @@ MISCONFIGURED = {
     "non_integer_iterations": ({"iterations": "5"}, None, "iterations"),
     "non_integer_workers": ({"workers": "2"}, None, "workers"),
     "scalar_eta_grid": ({"eta_grid": 1.0}, None, "eta_grid"),
+    # eta 0 is the learned loop's greedy run; nan and inf are no temperature.
+    "dqn_eta_nan": ({**SMALL_RPS_DQN, "eta_grid": [float("nan")]}, None, "eta_grid"),
+    "dqn_eta_inf": ({**SMALL_RPS_DQN, "eta_grid": [float("inf")]}, None, "eta_grid"),
+    "dqn_zero_window": ({**SMALL_RPS_DQN, "window": 0}, None, "window"),
+    "dqn_negative_convergence_tol": (
+        {**SMALL_RPS_DQN, "convergence_tol": -1}, None, "convergence_tol"
+    ),
 }
 
 
@@ -298,6 +308,22 @@ class TestRun:
         assert cli.main(["run", str(cfg)]) == 0
         assert (tmp_path / "results" / "summary.csv").exists()
         assert (tmp_path / "results" / "twostate_boltzmann_eta0.5_seed0.csv").exists()
+
+    def test_dqn_window_and_early_stop(self, tmp_path):
+        # Two rps flows lie less than 1 apart in total variation unless their
+        # supports are disjoint, so a tolerance of 1 stops the run early.
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **SMALL_RPS_DQN, window=2, convergence_tol=1.0)
+        assert cli.main(["run", str(cfg)]) == 0
+        out = tmp_path / "results"
+        rows = read_csv(out / "rps_boltzmann_dqn_eta0.5_seed0.csv")
+        assert 1 <= len(rows) - 1 < SMALL_RPS_DQN["iterations"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        (cell,) = manifest["cells"].values()
+        assert cell["converged"] is True
+        assert cell["limit_cycle_period"] == 1
+        log = cli.run_cell(cli.load_config(str(cfg)), 0.5, 0)
+        assert log.window == 2
 
     def test_std_error_column(self, tmp_path):
         # Blank where the exploitability is exact, the estimate's standard

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from mfgsolve import dp
-from mfgsolve.core import Policy
+from mfgsolve.core import Policy, flow_distance
 from mfgsolve.envs import EnvironmentSpec, make_rps, make_sis
 from mfgsolve.errors import ConfigError
 from mfgsolve.rl import (
@@ -19,7 +19,8 @@ from mfgsolve.rl import (
     epsilon_at,
     network_q_table,
 )
-from mfgsolve.sim import ParticleConfig
+from mfgsolve.exploitability import exploitability_exact
+from mfgsolve.sim import ParticleConfig, simulate_mean_field
 
 
 class TestNetwork:
@@ -300,6 +301,58 @@ class TestBoltzmannDqnIteration:
                 env, eta=-1.0, prior=None, iterations=1,
                 particles=ParticleConfig(1, 10, 0),
             )
+
+
+def naive_learned_loop(env, eta, iterations, particles, hp, seed):
+    """The learned loop on a tabular game written out from public calls:
+    per iteration train on the current flow, take the network's softmax (or
+    greedy) policy, measure it exactly and simulate its flow, with every seed
+    drawn in the loop's ``SeedSequence`` spawn order."""
+
+    def seed_of(ss):
+        return int(ss.generate_state(1)[0])
+
+    def particle_config(ss):
+        return ParticleConfig(particles.num_meanfields, particles.num_particles, seed_of(ss))
+
+    prior = Policy.uniform(env.horizon, env.num_states, env.num_actions)
+    init_ss, *iter_ss = np.random.SeedSequence(seed).spawn(1 + iterations)
+    mu = simulate_mean_field(env, prior, particle_config(init_ss))
+    flows, series, pi = [mu.per_time], [], None
+    for k in range(iterations):
+        train_ss, sim_ss, _ = iter_ss[k].spawn(3)
+        q = network_q_table(dqn_train(env, mu, hp, seed=seed_of(train_ss)), env)
+        if eta > 0.0:
+            pi = dp.boltzmann_policy(q, eta, prior)
+        else:
+            pi = dp.greedy_policy(q, "first_optimal")
+        series.append(exploitability_exact(env, pi).value)
+        mu = simulate_mean_field(env, pi, particle_config(sim_ss))
+        flows.append(mu.per_time)
+    return series, pi, flows
+
+
+class TestLearnedLoopMatchesNaiveLoop:
+    """The learned loop draws its seeds in a fixed order; running it through
+    the shared fixed-point skeleton must not move a single draw."""
+
+    @pytest.mark.parametrize("eta", [0.5, 0.0])
+    def test_bit_identical_on_rps(self, eta):
+        env = make_rps()
+        hp = DqnHyperparams(epochs=20, batch_size=8, hidden_width=8)
+        particles = ParticleConfig(2, 50, 0)
+        log = boltzmann_dqn_iteration(
+            env, eta=eta, prior=None, iterations=3, particles=particles, hp=hp, seed=4
+        )
+        series, pi, flows = naive_learned_loop(env, eta, 3, particles, hp, seed=4)
+        np.testing.assert_array_equal(log.exploitabilities, series)
+        np.testing.assert_array_equal(log.final_policy.per_time_state, pi.per_time_state)
+        np.testing.assert_array_equal(log.final_meanfield.per_time, flows[-1])
+        np.testing.assert_array_equal(np.array(log.meanfield_history), np.array(flows))
+        for k, rec in enumerate(log.records):
+            assert rec.mf_distance_prev == flow_distance(flows[k + 1], flows[k])
+            assert rec.mf_distance_final == flow_distance(flows[k + 1], flows[-1])
+            assert rec.std_error is None
 
 
 class TestNetworkPolicies:

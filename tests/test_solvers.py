@@ -346,6 +346,29 @@ class TestPriorDescent:
         assert len(log.records) == 2000
         assert len(calls) == 2000 + 1  # one per iteration, plus the first prior's flow
 
+    # An inner run's softmax underflows to an exact 0, and that policy is
+    # refused as the next prior.  A log-domain prior removes the markers.
+    @pytest.mark.xfail(strict=True, raises=ValueError)
+    def test_lr_cold_start_survives_underflow(self):
+        prior_descent(
+            make_lr(),
+            PriorDescentConfig(
+                SolverConfig(max_iterations=20, mode="boltzmann", eta=0.001),
+                outer_iterations=3,
+            ),
+        )
+
+    @pytest.mark.xfail(strict=True, raises=ValueError)
+    def test_sis_cold_start_survives_underflow(self):
+        prior_descent(
+            make_sis(),
+            PriorDescentConfig(
+                SolverConfig(max_iterations=100, mode="relent", eta=0.002),
+                outer_iterations=20,
+                c=1.2,
+            ),
+        )
+
     @pytest.mark.parametrize("fp_meanfield", [False, True])
     def test_series_match_restarting_each_outer_iteration(self, fp_meanfield):
         env = make_sis()
