@@ -37,14 +37,9 @@ _TIE_RULES = ("first_optimal", "uniform_over_optimal")
 
 @dataclass(frozen=True)
 class QTable:
-    """Dense action values indexed by (t, s, a).
-
-    ``kind`` records which recursion produced it: "optimal" (hard max),
-    "soft" (weighted smooth max), or "policy" (evaluation of a fixed policy).
-    """
+    """Dense action values indexed by (t, s, a)."""
 
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -121,7 +116,7 @@ def _tables_of(
     return tables
 
 
-def _backward(tables: FlowTables, kind: str, next_value) -> QTable:
+def _backward(tables: FlowTables, next_value) -> QTable:
     """The one backward recursion: ``Q[T-1] = R[T-1]`` and
     ``Q[t] = R[t] + P[t] @ next_value(t + 1, Q[t + 1])``, where
     ``next_value`` reduces a Q slice to its per-state values."""
@@ -131,7 +126,7 @@ def _backward(tables: FlowTables, kind: str, next_value) -> QTable:
     q[T - 1] = rewards[T - 1]
     for t in range(T - 2, -1, -1):
         q[t] = rewards[t] + kernels[t] @ next_value(t + 1, q[t + 1])
-    return QTable(q, kind=kind)
+    return QTable(q)
 
 
 def optimal_q(
@@ -144,7 +139,7 @@ def optimal_q(
     given, must be ``flow_tables(env, mu)`` for this very ``mu``.
     """
     tabs = _tables_of(env, mu, tables)
-    return _backward(tabs, "optimal", lambda t, q_next: q_next.max(axis=1))
+    return _backward(tabs, lambda t, q_next: q_next.max(axis=1))
 
 
 def soft_q(
@@ -170,7 +165,7 @@ def soft_q(
         m = q_next.max(axis=1, keepdims=True)
         return m[:, 0] + eta * np.log(np.sum(qp[t] * np.exp((q_next - m) / eta), axis=1))
 
-    return _backward(tabs, "soft", smooth_max)
+    return _backward(tabs, smooth_max)
 
 
 def policy_q(
@@ -181,7 +176,7 @@ def policy_q(
     check_policy(env, pi)
     tabs = _tables_of(env, mu, tables)
     p = pi.per_time_state
-    return _backward(tabs, "policy", lambda t, q_next: np.sum(p[t] * q_next, axis=1))
+    return _backward(tabs, lambda t, q_next: np.sum(p[t] * q_next, axis=1))
 
 
 def greedy_policy(q: QTable, tie: TieRule = "first_optimal") -> Policy:

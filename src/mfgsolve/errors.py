@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number check every
+config object makes when it is built."""
+
+from numbers import Integral, Real
 
 
 class DimensionError(ValueError):
@@ -15,3 +18,15 @@ class ConfigError(ValueError):
 
 class TrainingDivergedError(RuntimeError):
     """Q-network training produced NaN/inf values."""
+
+
+def check_number(what: str, value, low: float, *, integer=False, strict=False) -> None:
+    """Raise ``ConfigError`` unless ``value`` is a number (an integer if
+    ``integer``) at least ``low``, or above it if ``strict``.  NaN meets no
+    bound, and a bool is no number."""
+    ok = isinstance(value, Integral if integer else Real) and not isinstance(value, bool)
+    if not (ok and (value > low if strict else value >= low)):
+        raise ConfigError(
+            f"{what} must be {'>' if strict else '>='} {low:g} "
+            f"({'an integer' if integer else 'a real number'}), got {value!r}"
+        )

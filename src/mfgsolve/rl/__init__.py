@@ -1,12 +1,7 @@
 from .dqn import DqnHyperparams, ReplayBuffer, dqn_train, epsilon_at
 from .loop import boltzmann_dqn_iteration
 from .network import Adam, DuelingQNetwork, clip_gradients
-from .policies import (
-    BoltzmannNetworkPolicy,
-    GreedyNetworkPolicy,
-    greedy_policy_from_network,
-    network_q_table,
-)
+from .policies import BoltzmannNetworkPolicy, GreedyNetworkPolicy, network_q_table
 
 __all__ = [
     "DqnHyperparams",
@@ -19,6 +14,5 @@ __all__ = [
     "clip_gradients",
     "BoltzmannNetworkPolicy",
     "GreedyNetworkPolicy",
-    "greedy_policy_from_network",
     "network_q_table",
 ]

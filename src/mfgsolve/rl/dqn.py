@@ -12,20 +12,22 @@ step period, and terminal transitions (the last step of the finite horizon)
 carry no bootstrap term.
 
 Training runs in float32: the network is cast once after initialisation, the
-target network copies its parameters, and the replay buffer stores
-observations in float32 (one-hot entries, flags and the integer time, all
-exact there).  The trained network is returned in float32.
+target network is a copy of it, and the replay buffer stores observations in
+float32 (one-hot entries, flags and the integer time, all exact there).  Each
+update writes its gradient into one flat vector allocated per training; each
+target sync is one ``copyto`` of the flat parameters.  The trained network is
+returned in float32.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..core import MeanField
 from ..dp import check_meanfield
-from ..errors import TrainingDivergedError
+from ..errors import TrainingDivergedError, check_number
 from .network import Adam, DuelingQNetwork, clip_gradients
 
 
@@ -44,14 +46,9 @@ class DqnHyperparams:
     hidden_width: int = 256
 
     def __post_init__(self):
-        positive = (
-            self.replay_capacity, self.learning_rate, self.discount,
-            self.target_update_every, self.grad_clip_norm, self.batch_size,
-            self.epsilon_start, self.epsilon_end, self.epsilon_end_fraction,
-            self.epochs, self.hidden_width,
-        )
-        if any(x <= 0 for x in positive):
-            raise ValueError("all hyperparameters must be positive")
+        for f in fields(self):  # all positive; integers where annotated int
+            integer = f.type in (int, "int")
+            check_number(f.name, getattr(self, f.name), 0, integer=integer, strict=True)
         if self.epsilon_end > self.epsilon_start:
             raise ValueError("epsilon_end must not exceed epsilon_start")
 
@@ -112,9 +109,9 @@ def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetw
     init_ss, run_ss = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(run_ss)
     net = DuelingQNetwork(env.obs_dim, env.num_actions, hp.hidden_width, seed=init_ss)
-    net.set_params({k: v.astype(np.float32) for k, v in net.params.items()})
-    target_net = DuelingQNetwork(env.obs_dim, env.num_actions, hp.hidden_width)
-    target_net.set_params(net.params)
+    net = net.astype(np.float32)
+    target_net = net.astype(np.float32)
+    grads = np.empty_like(net.flat)
     opt = Adam(hp.learning_rate)
     buffer = ReplayBuffer(hp.replay_capacity, env.obs_dim)
     total_steps = hp.epochs * env.horizon
@@ -134,16 +131,16 @@ def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetw
                 b_obs, b_act, b_rew, b_next, b_term = buffer.sample(rng, hp.batch_size)
                 bootstrap = target_net.forward(b_next).max(axis=1)
                 targets = b_rew + hp.discount * bootstrap * (1.0 - b_term)
-                loss, grads = net.loss_and_grad(b_obs, b_act, targets)
+                loss, _ = net.loss_and_grad(b_obs, b_act, targets, out=grads)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at step {step} "
                         f"(|targets| up to {np.abs(targets).max():g})"
                     )
-                grads, _ = clip_gradients(grads, hp.grad_clip_norm)
-                opt.step(net.params, grads)
+                clip_gradients(grads, hp.grad_clip_norm)
+                opt.step(net.flat, grads)
             step += 1
             if step % hp.target_update_every == 0:
-                target_net.set_params(net.params)
+                np.copyto(target_net.flat, net.flat)
             code, obs = nxt, next_obs
     return net

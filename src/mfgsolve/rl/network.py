@@ -3,6 +3,11 @@ adaptive-moment optimizer and global gradient-norm clipping it trains with.
 
 Architecture: one shared ReLU layer, then separate ReLU streams for the state
 value and the action advantages, combined as ``value + adv - mean(adv)``.
+The parameters live in one 1-D array, ``net.flat``: ``net.params`` maps the
+ten names of ``PARAM_NAMES`` to views of it, laid out in that order, and the
+gradient is one flat vector with the same views.  So the optimizer, the
+clipping, the dtype cast and the target-network sync each act on one array.
+
 Plain numpy in the parameters' dtype: a network is built in float64, and
 ``dqn_train`` casts its network to float32, about twice as fast at the
 production shape.  Inputs are cast to the parameters' dtype, so float64
@@ -11,6 +16,11 @@ test suite checks in float64 against central finite differences.
 """
 
 from __future__ import annotations
+
+import copy
+import math
+from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -21,41 +31,55 @@ PARAM_NAMES = (
 )
 
 
-def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int):
-    # Uniform fan-in scaling for both weights and biases.
-    bound = 1.0 / np.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    b = rng.uniform(-bound, bound, size=fan_out)
-    return w, b
-
-
 class DuelingQNetwork:
     """Maps observation batches to per-action value estimates."""
 
-    def __init__(
-        self,
-        obs_dim: int,
-        num_actions: int,
-        hidden_width: int = 256,
-        seed: int = 0,
-    ):
+    def __init__(self, obs_dim: int, num_actions: int, hidden_width: int = 256, seed: int = 0):
         self.obs_dim = obs_dim
         self.num_actions = num_actions
         self.hidden_width = hidden_width
+        layers = ((obs_dim, hidden_width), (hidden_width, hidden_width), (hidden_width, 1),
+                  (hidden_width, hidden_width), (hidden_width, num_actions))
+        shapes = [s for fan_in, fan_out in layers for s in ((fan_in, fan_out), (fan_out,))]
+        sizes = [math.prod(s) for s in shapes]
+        ends = list(accumulate(sizes))
+        self._layout = list(zip(PARAM_NAMES, shapes, ends, sizes))
+        self._bind(np.empty(ends[-1]))
         rng = np.random.default_rng(seed)
-        p = {}
-        p["shared_w"], p["shared_b"] = _linear_init(rng, obs_dim, hidden_width)
-        p["value_w1"], p["value_b1"] = _linear_init(rng, hidden_width, hidden_width)
-        p["value_w2"], p["value_b2"] = _linear_init(rng, hidden_width, 1)
-        p["adv_w1"], p["adv_b1"] = _linear_init(rng, hidden_width, hidden_width)
-        p["adv_w2"], p["adv_b2"] = _linear_init(rng, hidden_width, num_actions)
-        self.params = p
+        for w, b, (fan_in, fan_out) in zip(PARAM_NAMES[::2], PARAM_NAMES[1::2], layers):
+            # Uniform fan-in scaling for both weights and biases.
+            bound = 1.0 / np.sqrt(fan_in)
+            self.params[w][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            self.params[b][...] = rng.uniform(-bound, bound, size=fan_out)
 
-    # -- forward / backward -------------------------------------------------
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """The ten blocks of a vector laid out like ``self.flat``."""
+        return {name: flat[end - size : end].reshape(shape)
+                for name, shape, end, size in self._layout}
+
+    def _bind(self, flat: np.ndarray) -> None:
+        # Read-only: rebinding a name would detach it from ``flat``.
+        self.flat = flat
+        self.params = MappingProxyType(self._views(flat))
+
+    def __getstate__(self) -> dict:
+        # Views are rebuilt on load so that they share the loaded ``flat``
+        # (and a mappingproxy cannot be pickled).
+        return {k: v for k, v in self.__dict__.items() if k != "params"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind(self.flat)
+
+    def astype(self, dtype) -> DuelingQNetwork:
+        """A copy of the network with its parameters cast to ``dtype``."""
+        net = copy.copy(self)
+        net._bind(self.flat.astype(dtype))
+        return net
 
     @property
     def dtype(self) -> np.dtype:
-        return self.params["shared_w"].dtype
+        return self.flat.dtype
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
         q, _ = self._forward_cached(np.asarray(obs, dtype=self.dtype))
@@ -71,31 +95,35 @@ class DuelingQNetwork:
         q = value + adv - adv.mean(axis=1, keepdims=True)
         return q, (obs, h, hv, ha)
 
-    def _backward(self, cache, dq: np.ndarray) -> dict[str, np.ndarray]:
+    def _backward(self, cache, dq: np.ndarray, g: dict[str, np.ndarray]) -> None:
+        """Write the gradient blocks into the views ``g``."""
         obs, h, hv, ha = cache
         p = self.params
-        g = {}
         dvalue = dq.sum(axis=1, keepdims=True)
         dadv = dq - dq.sum(axis=1, keepdims=True) / self.num_actions
-        g["adv_w2"] = ha.T @ dadv
-        g["adv_b2"] = dadv.sum(axis=0)
+        np.matmul(ha.T, dadv, out=g["adv_w2"])
+        np.sum(dadv, axis=0, out=g["adv_b2"])
         dha = (dadv @ p["adv_w2"].T) * (ha > 0.0)
-        g["adv_w1"] = h.T @ dha
-        g["adv_b1"] = dha.sum(axis=0)
-        g["value_w2"] = hv.T @ dvalue
-        g["value_b2"] = dvalue.sum(axis=0)
+        np.matmul(h.T, dha, out=g["adv_w1"])
+        np.sum(dha, axis=0, out=g["adv_b1"])
+        np.matmul(hv.T, dvalue, out=g["value_w2"])
+        np.sum(dvalue, axis=0, out=g["value_b2"])
         dhv = (dvalue @ p["value_w2"].T) * (hv > 0.0)
-        g["value_w1"] = h.T @ dhv
-        g["value_b1"] = dhv.sum(axis=0)
+        np.matmul(h.T, dhv, out=g["value_w1"])
+        np.sum(dhv, axis=0, out=g["value_b1"])
         dh = (dha @ p["adv_w1"].T + dhv @ p["value_w1"].T) * (h > 0.0)
-        g["shared_w"] = obs.T @ dh
-        g["shared_b"] = dh.sum(axis=0)
-        return g
+        np.matmul(obs.T, dh, out=g["shared_w"])
+        np.sum(dh, axis=0, out=g["shared_b"])
 
     def loss_and_grad(
-        self, obs: np.ndarray, actions: np.ndarray, targets: np.ndarray
+        self, obs: np.ndarray, actions: np.ndarray, targets: np.ndarray, out=None
     ):
-        """Mean squared TD error on the taken actions and its exact gradient."""
+        """Mean squared TD error on the taken actions and its exact gradient.
+
+        The gradient is written into ``out``, a vector shaped and typed like
+        ``self.flat`` (a fresh one if None), and returned as the dict of its
+        views by layer name.
+        """
         q, cache = self._forward_cached(np.asarray(obs, dtype=self.dtype))
         n = q.shape[0]
         rows = np.arange(n)
@@ -103,46 +131,34 @@ class DuelingQNetwork:
         loss = float(np.mean(err**2))
         dq = np.zeros_like(q)
         dq[rows, actions] = 2.0 * err / n
-        return loss, self._backward(cache, dq)
-
-    # -- parameter plumbing --------------------------------------------------
-
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        for k in PARAM_NAMES:
-            self.params[k] = params[k].copy()
+        grads = self._views(np.empty_like(self.flat) if out is None else out)
+        self._backward(cache, dq, grads)
+        return loss, grads
 
 
-def clip_gradients(
-    grads: dict[str, np.ndarray], max_norm: float
-) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients so the global L2 norm is at most ``max_norm``."""
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+def clip_gradients(grads: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient ``grads`` in place so its L2 norm is at most
+    ``max_norm``; return the norm before clipping."""
+    total = math.sqrt(float(np.dot(grads, grads)))
     if total > max_norm > 0.0:
-        scale = max_norm / total
-        grads = {k: g * scale for k, g in grads.items()}
-    return grads, total
+        grads *= max_norm / total
+    return total
 
 
 class Adam:
-    """Adaptive-moment estimation with bias correction."""
+    """Adaptive-moment estimation with bias correction, on one flat vector."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        # Shared by all keys, grown on demand in the gradients' dtype.
-        self._scratch = np.empty((2, 0))
-        self._keep = np.empty(0, dtype=bool)
+        # Moments and scratch, allocated like the gradient at the first step.
+        self._m = self._v = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """Update ``params`` in place: ``m += (1 - beta1) * (g - m)``,
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Update the flat ``params`` in place: ``m += (1 - beta1) * (g - m)``,
         ``v += (1 - beta2) * (g * g - v)`` and
         ``params -= lr * (m / b1c) / (sqrt(v / b2c) + eps)``, one operation at
-        a time in scratch space of the gradients' dtype, without temporaries.
+        a time in scratch space of the gradient's dtype, without temporaries.
 
         Then every moment below the dtype's smallest normal number is set to
         0.  A coordinate whose gradient stays 0 (an input that is never on, a
@@ -152,37 +168,30 @@ class Adam:
         far below the ulp of any parameter.  The flush multiplies by a bool
         mask, which is much cheaper than boolean-index assignment.
         """
+        if self._m is None:
+            self._m, self._v, self._num, self._den = (np.zeros_like(grads) for _ in range(4))
+            self._keep = np.zeros(grads.shape, dtype=bool)
+        m, v, num, den, keep = self._m, self._v, self._num, self._den, self._keep
         self.step_count += 1
         b1c = 1.0 - self.beta1**self.step_count
         b2c = 1.0 - self.beta2**self.step_count
-        size = max(g.size for g in grads.values())
-        dtype = next(iter(grads.values())).dtype
-        if self._scratch.shape[1] < size or self._scratch.dtype != dtype:
-            self._scratch = np.empty((2, size), dtype=dtype)
-            self._keep = np.empty(size, dtype=bool)
-        tiny = np.finfo(dtype).tiny
-        for k, g in grads.items():
-            if k not in self._m:
-                self._m[k], self._v[k] = np.zeros_like(g), np.zeros_like(g)
-            m, v = self._m[k], self._v[k]
-            num, den = (row[: g.size].reshape(g.shape) for row in self._scratch)
-            keep = self._keep[: g.size].reshape(g.shape)
-            np.subtract(g, m, out=num)
-            num *= 1.0 - self.beta1
-            m += num
-            np.multiply(g, g, out=num)
-            num -= v
-            num *= 1.0 - self.beta2
-            v += num
-            np.divide(m, b1c, out=num)
-            num *= self.lr
-            np.divide(v, b2c, out=den)
-            np.sqrt(den, out=den)
-            den += self.eps
-            num /= den
-            params[k] -= num
-            np.abs(m, out=num)
-            np.greater_equal(num, tiny, out=keep)
-            m *= keep
-            np.greater_equal(v, tiny, out=keep)
-            v *= keep
+        np.subtract(grads, m, out=num)
+        num *= 1.0 - self.beta1
+        m += num
+        np.multiply(grads, grads, out=num)
+        num -= v
+        num *= 1.0 - self.beta2
+        v += num
+        np.divide(m, b1c, out=num)
+        num *= self.lr
+        np.divide(v, b2c, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        params -= num
+        tiny = np.finfo(grads.dtype).tiny
+        np.abs(m, out=num)
+        np.greater_equal(num, tiny, out=keep)
+        m *= keep
+        np.greater_equal(v, tiny, out=keep)
+        v *= keep

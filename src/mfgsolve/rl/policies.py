@@ -1,10 +1,11 @@
 """Adapters that turn a trained Q-network into policies.
 
-The network always reads the game's ``observe_codes`` rows.  Tabular games
-get its values materialized into a dense table at every (t, s) (the state
-space is enumerable there), so downstream evaluation stays exact.  Sampled
-games (taxi) get batch ``action_probs`` objects the particle simulator and
-rollout code consume directly: they take an array of state codes.
+The network always reads the game's ``observe_codes`` rows.  The policy
+objects answer ``action_probs(t, codes)`` for an array of state codes, which
+the particle simulator and the rollout code consume directly on any game.
+On tabular games the network's values can also be materialized into a dense
+table at every (t, s) (the state space is enumerable there), so the learned
+loop's softmax policy is a tabular ``Policy`` and its evaluation stays exact.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import dp
-from ..core import Policy
 from ..envs.base import EnvironmentSpec
 from .network import DuelingQNetwork
 
@@ -22,17 +22,11 @@ def network_q_table(net: DuelingQNetwork, env: EnvironmentSpec) -> dp.QTable:
     states = np.arange(env.num_states)
     obs = np.concatenate([env.observe_codes(t, states) for t in range(env.horizon)])
     q = net.forward(obs).reshape(env.horizon, env.num_states, env.num_actions)
-    return dp.QTable(q, kind="policy")
-
-
-def greedy_policy_from_network(
-    net: DuelingQNetwork, env: EnvironmentSpec, tie: dp.TieRule = "first_optimal"
-) -> Policy:
-    return dp.greedy_policy(network_q_table(net, env), tie)
+    return dp.QTable(q)
 
 
 class GreedyNetworkPolicy:
-    """Argmax of network values (first index on ties) for sampled envs."""
+    """Argmax of network values (first index on ties), on any game."""
 
     def __init__(self, net: DuelingQNetwork, env):
         self.net = net

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import MeanField, Policy, sample_rows
 from .dp import check_meanfield, check_policy
+from .errors import check_number
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,8 @@ class ParticleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_meanfields < 1 or self.num_particles < 1:
-            raise ValueError("need at least one replicate and one particle")
+        check_number("num_meanfields (replicates)", self.num_meanfields, 1, integer=True)
+        check_number("num_particles", self.num_particles, 1, integer=True)
 
 
 class FixedActionPolicy:

@@ -35,7 +35,7 @@ from .core import (
     mix,
 )
 from .envs.base import EnvironmentSpec
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .exploitability import ExploitabilityReport, exploitability_exact
 
 MODES = ("exact", "boltzmann", "relent")
@@ -68,12 +68,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if self.convergence_tol < 0.0:
-            raise ConfigError("convergence_tol must be >= 0")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
+        check_number("max_iterations", self.max_iterations, 1, integer=True)
+        check_number("convergence_tol", self.convergence_tol, 0.0)
+        check_number("window", self.window, 1, integer=True)
         if (self.eta is None) != (self.mode == "exact"):
             raise ConfigError("eta must be given exactly when mode != 'exact'")
         if self.eta is not None:
@@ -92,10 +89,8 @@ class PriorDescentConfig:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.outer_iterations < 1:
-            raise ConfigError("outer_iterations must be >= 1")
-        if self.c < 1.0:
-            raise ConfigError("temperature multiplier c must be >= 1")
+        check_number("outer_iterations", self.outer_iterations, 1, integer=True)
+        check_number("temperature multiplier c", self.c, 1.0)
         if self.inner.mode not in ("boltzmann", "relent"):
             raise ConfigError("prior descent runs in boltzmann or relent mode")
 

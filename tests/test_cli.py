@@ -172,6 +172,26 @@ MISCONFIGURED = {
     "dqn_negative_convergence_tol": (
         {**SMALL_RPS_DQN, "convergence_tol": -1}, None, "convergence_tol"
     ),
+    # Counts must be integers and reals must not be NaN, checked where the
+    # config objects are built.
+    "dqn_fractional_epochs": ({**SMALL_RPS_DQN, "dqn": {"epochs": 2.5}}, None, "epochs"),
+    "dqn_learning_rate_nan": (
+        {**SMALL_RPS_DQN, "dqn": {"learning_rate": float("nan")}}, None, "learning_rate"
+    ),
+    "fractional_replicates": (
+        {**SMALL_TAXI, "particles": {"num_meanfields": 1.5, "num_particles": 10}},
+        None,
+        "num_meanfields",
+    ),
+    "prior_descent_fractional_outer": (
+        {"prior_descent": {**PRIOR_DESCENT, "outer": 1.5}}, None, "outer_iterations"
+    ),
+    "prior_descent_fractional_inner": (
+        {"prior_descent": {**PRIOR_DESCENT, "inner": 2.5}}, None, "max_iterations"
+    ),
+    "prior_descent_c_nan": (
+        {"prior_descent": {**PRIOR_DESCENT, "c": float("nan")}}, None, "c must be >= 1"
+    ),
 }
 
 
@@ -266,6 +286,27 @@ class TestRun:
         cfg = tmp_path / "cfg.json"
         write_config(cfg, solver="magic")
         assert cli.main(["run", str(cfg)]) == 1
+
+    def test_parallel_taxi_dqn_matches_serial(self, tmp_path):
+        # Worker processes send back logs whose final policy holds a trained
+        # network, so the network must survive pickling.
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, **{**SMALL_TAXI, "seeds": [0, 1]})
+        assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "serial")]) == 0
+        assert cli.main(
+            ["run", str(cfg), "--output-dir", str(tmp_path / "parallel"), "--workers", "2"]
+        ) == 0
+        manifest = json.loads((tmp_path / "parallel" / "manifest.json").read_text())
+        assert manifest["failures"] == []
+        drop = cli.CSV_COLUMNS.index("elapsed_s")
+        for seed in (0, 1):
+            name = f"taxi_boltzmann_dqn_eta0.1_seed{seed}.csv"
+            a, b = (
+                [[c for i, c in enumerate(row) if i != drop]
+                 for row in read_csv(tmp_path / d / name)]
+                for d in ("serial", "parallel")
+            )
+            assert a == b
 
     def test_prior_descent_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"

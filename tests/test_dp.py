@@ -142,26 +142,26 @@ class TestPolicyQ:
 
 class TestGreedyPolicy:
     def test_unique_argmax(self):
-        q = dp.QTable(np.array([[[1.0, 2.0, 0.5]]]), kind="optimal")
+        q = dp.QTable(np.array([[[1.0, 2.0, 0.5]]]))
         np.testing.assert_allclose(
             dp.greedy_policy(q, "first_optimal").per_time_state[0, 0], [0, 1, 0]
         )
 
     def test_tie_uniform(self):
-        q = dp.QTable(np.array([[[2.0, 2.0, 0.5]]]), kind="optimal")
+        q = dp.QTable(np.array([[[2.0, 2.0, 0.5]]]))
         np.testing.assert_allclose(
             dp.greedy_policy(q, "uniform_over_optimal").per_time_state[0, 0],
             [0.5, 0.5, 0],
         )
 
     def test_tie_first(self):
-        q = dp.QTable(np.array([[[2.0, 2.0, 0.5]]]), kind="optimal")
+        q = dp.QTable(np.array([[[2.0, 2.0, 0.5]]]))
         np.testing.assert_allclose(
             dp.greedy_policy(q, "first_optimal").per_time_state[0, 0], [1, 0, 0]
         )
 
     def test_unknown_rule(self):
-        q = dp.QTable(np.zeros((1, 1, 2)), kind="optimal")
+        q = dp.QTable(np.zeros((1, 1, 2)))
         with pytest.raises(ValueError):
             dp.greedy_policy(q, "coin_flip")
 
@@ -170,19 +170,19 @@ class TestBoltzmannPolicy:
     def test_equal_row_returns_prior(self):
         rng = np.random.default_rng(7)
         prior = Policy(rng.dirichlet(np.ones(3), size=(2, 2)))
-        q = dp.QTable(np.full((2, 2, 3), 1.7), kind="optimal")
+        q = dp.QTable(np.full((2, 2, 3), 1.7))
         out = dp.boltzmann_policy(q, 0.5, prior)
         np.testing.assert_allclose(out.per_time_state, prior.per_time_state, atol=1e-12)
 
     def test_logistic_value(self):
-        q = dp.QTable(np.array([[[0.0, -1.0]]]), kind="optimal")
+        q = dp.QTable(np.array([[[0.0, -1.0]]]))
         out = dp.boltzmann_policy(q, 1.0, Policy.uniform(1, 1, 2))
         np.testing.assert_allclose(out.per_time_state[0, 0], [0.7311, 0.2689], atol=1e-4)
 
     def test_huge_eta_returns_prior(self):
         rng = np.random.default_rng(8)
         prior = Policy(rng.dirichlet(np.ones(4), size=(2, 3)))
-        q = dp.QTable(rng.normal(size=(2, 3, 4)), kind="optimal")
+        q = dp.QTable(rng.normal(size=(2, 3, 4)))
         out = dp.boltzmann_policy(q, 1e9, prior)
         assert np.abs(out.per_time_state - prior.per_time_state).max() < 1e-6
 
@@ -190,7 +190,7 @@ class TestBoltzmannPolicy:
         rng = np.random.default_rng(9)
         q_vals = rng.normal(size=(3, 4, 3))
         q_vals[..., 0] += 0.5  # enforce gaps >= 0.1 toward a unique argmax
-        q = dp.QTable(q_vals, kind="optimal")
+        q = dp.QTable(q_vals)
         greedy = dp.greedy_policy(q, "first_optimal").per_time_state
         soft = dp.boltzmann_policy(q, 1e-4, Policy.uniform(3, 4, 3)).per_time_state
         gaps = np.sort(q_vals, axis=-1)
@@ -199,7 +199,7 @@ class TestBoltzmannPolicy:
         assert dist[mask].max() < 1e-6
 
     def test_extreme_eta_no_nan(self):
-        q = dp.QTable(np.array([[[500.0, -500.0]]]), kind="optimal")
+        q = dp.QTable(np.array([[[500.0, -500.0]]]))
         out = dp.boltzmann_policy(q, 1e-9, Policy.uniform(1, 1, 2))
         assert np.all(np.isfinite(out.per_time_state))
         np.testing.assert_allclose(out.per_time_state[0, 0], [1.0, 0.0])

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,6 +21,7 @@ from mfgsolve.rl import (
     epsilon_at,
     network_q_table,
 )
+from mfgsolve.rl.network import PARAM_NAMES
 from mfgsolve.exploitability import exploitability_exact
 from mfgsolve.sim import ParticleConfig, simulate_mean_field
 
@@ -29,9 +32,72 @@ class TestNetwork:
         net = DuelingQNetwork(5, 3, hidden_width=16, seed=1)
         obs = rng.normal(size=(12, 5))
         q0 = net.forward(obs)
-        net.params["adv_b2"] = net.params["adv_b2"] + 3.7
+        net.params["adv_b2"][...] += 3.7
         q1 = net.forward(obs)
         assert np.abs(q1 - q0).max() < 1e-6
+
+    def test_forward_is_the_dueling_formula(self):
+        rng = np.random.default_rng(13)
+        net = DuelingQNetwork(5, 4, hidden_width=16, seed=3)
+        obs = rng.normal(size=(9, 5))
+        p = net.params
+        h = np.maximum(obs @ p["shared_w"] + p["shared_b"], 0.0)
+        hv = np.maximum(h @ p["value_w1"] + p["value_b1"], 0.0)
+        ha = np.maximum(h @ p["adv_w1"] + p["adv_b1"], 0.0)
+        value = hv @ p["value_w2"] + p["value_b2"]
+        adv = ha @ p["adv_w2"] + p["adv_b2"]
+        want = value + adv - adv.mean(axis=1, keepdims=True)
+        assert net.dtype == np.float64
+        np.testing.assert_allclose(net.forward(obs), want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", PARAM_NAMES)
+    def test_params_are_views_of_one_vector(self, name):
+        # The finite-difference checks perturb parameters through
+        # ``params[name].reshape(-1)``; that only reaches the network if the
+        # views share the flat storage the optimizer updates.
+        rng = np.random.default_rng(14)
+        net = DuelingQNetwork(4, 3, hidden_width=8, seed=5)
+        assert net.flat.ndim == 1
+        assert net.flat.size == sum(p.size for p in net.params.values())
+        obs = rng.normal(size=(6, 4))
+        q0, flat0 = net.forward(obs), net.flat.copy()
+        view = net.params[name].reshape(-1)
+        view += np.linspace(0.1, 1.0, view.size)
+        assert np.count_nonzero(net.flat != flat0) == view.size
+        assert not np.array_equal(net.forward(obs), q0)
+        with pytest.raises(TypeError):  # a rebound name would leave the vector
+            net.params[name] = net.params[name] + 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pickle_round_trip_keeps_views(self, dtype):
+        # Parallel sweeps send trained networks back from worker processes.
+        rng = np.random.default_rng(16)
+        net = DuelingQNetwork(4, 3, hidden_width=8, seed=7).astype(dtype)
+        obs = rng.normal(size=(6, 4))
+        back = pickle.loads(pickle.dumps(net))
+        assert back.dtype == dtype
+        np.testing.assert_array_equal(back.flat, net.flat)
+        np.testing.assert_array_equal(back.forward(obs), net.forward(obs))
+        assert list(back.params) == list(PARAM_NAMES)
+        for name, p in back.params.items():
+            assert np.shares_memory(p, back.flat), name
+            assert not np.shares_memory(p, net.flat), name
+        back.flat += 1.0
+        assert not np.array_equal(back.forward(obs), net.forward(obs))
+
+    def test_gradient_written_into_out(self):
+        rng = np.random.default_rng(15)
+        net = DuelingQNetwork(4, 3, hidden_width=8, seed=6)
+        obs = rng.normal(size=(16, 4))
+        actions = rng.integers(3, size=16)
+        targets = rng.normal(size=16)
+        _, fresh = net.loss_and_grad(obs, actions, targets)
+        out = np.full_like(net.flat, np.nan)
+        _, grads = net.loss_and_grad(obs, actions, targets, out=out)
+        assert list(grads) == list(PARAM_NAMES)
+        np.testing.assert_array_equal(out, np.concatenate([g.ravel() for g in fresh.values()]))
+        for name, g in grads.items():
+            assert np.shares_memory(g, out) and g.shape == net.params[name].shape
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -60,8 +126,7 @@ class TestNetwork:
         # agrees with the float64 one to float32 precision.
         rng = np.random.default_rng(7)
         net64 = DuelingQNetwork(10, 4, hidden_width=64, seed=8)
-        net32 = DuelingQNetwork(10, 4, hidden_width=64, seed=8)
-        net32.set_params({k: v.astype(np.float32) for k, v in net64.params.items()})
+        net32 = net64.astype(np.float32)
         obs = rng.normal(size=(128, 10))
         actions = rng.integers(4, size=128)
         targets = rng.normal(size=128)
@@ -80,18 +145,17 @@ class TestFloat32Network:
 
     @pytest.fixture()
     def net(self):
-        net = DuelingQNetwork(6, 3, hidden_width=16, seed=9)
-        net.set_params({k: v.astype(np.float32) for k, v in net.params.items()})
-        return net
+        return DuelingQNetwork(6, 3, hidden_width=16, seed=9).astype(np.float32)
 
     def test_float64_inputs_do_not_upcast(self, net):
         rng = np.random.default_rng(10)
         obs = rng.normal(size=(8, 6))
         targets = rng.normal(size=8)
         assert net.forward(obs).dtype == np.float32
-        _, grads = net.loss_and_grad(obs, rng.integers(3, size=8), targets)
+        flat_grads = np.empty_like(net.flat)
+        _, grads = net.loss_and_grad(obs, rng.integers(3, size=8), targets, out=flat_grads)
         assert all(g.dtype == np.float32 for g in grads.values())
-        Adam(lr=0.01).step(net.params, grads)
+        Adam(lr=0.01).step(net.flat, flat_grads)
         assert all(p.dtype == np.float32 for p in net.params.values())
 
     def test_dqn_train_returns_float32(self):
@@ -104,44 +168,62 @@ class TestFloat32Network:
 
 class TestAdam:
     def test_quadratic_converges(self):
-        params = {"x": np.array([3.0, -2.0, 0.5])}
+        x = np.array([3.0, -2.0, 0.5])
         target = np.array([1.0, 1.0, 1.0])
         opt = Adam(lr=0.01)
         for _ in range(10000):
-            opt.step(params, {"x": 2.0 * (params["x"] - target)})
-        assert np.abs(params["x"] - target).max() < 1e-6
+            opt.step(x, 2.0 * (x - target))
+        assert np.abs(x - target).max() < 1e-6
+
+    def test_matches_bias_corrected_adam(self):
+        # Kingma & Ba (2015), Algorithm 1, written out; the optimizer reorders
+        # the moment updates, so the two agree to float64 rounding.
+        rng = np.random.default_rng(12)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        x = rng.normal(size=300)
+        ref, m, v = x.copy(), np.zeros_like(x), np.zeros_like(x)
+        opt = Adam(lr, b1, b2, eps)
+        for t in range(1, 51):
+            g = rng.normal(size=x.size) * rng.uniform(0.01, 10.0)
+            opt.step(x, g)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            ref -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        np.testing.assert_allclose(opt._m, m, rtol=1e-12)
+        np.testing.assert_allclose(opt._v, v, rtol=1e-12)
+        np.testing.assert_allclose(x, ref, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("dtype, steps", [(np.float32, 2000), (np.float64, 12000)])
     def test_idle_moments_never_subnormal(self, dtype, steps):
         # A coordinate whose gradient stays 0 (a dead ReLU, an input that is
         # never on) decays its moments geometrically; left alone they sink
         # into subnormal floats, where every later step is slow.
-        params = {"w": np.ones((2, 2), dtype=dtype), "b": np.ones(2, dtype=dtype)}
+        params = np.ones(6, dtype=dtype)
         opt = Adam(lr=0.01)
-        opt.step(params, {k: np.full_like(p, 1e-3) for k, p in params.items()})
-        idle = {k: np.zeros_like(p) for k, p in params.items()}
+        opt.step(params, np.full_like(params, 1e-3))
+        idle = np.zeros_like(params)
         for _ in range(steps):
             opt.step(params, idle)
         tiny = np.finfo(dtype).tiny
-        for moments in (opt._m, opt._v):
-            for x in moments.values():
-                assert np.all((x == 0.0) | (np.abs(x) >= tiny))
-        assert all(p.dtype == dtype for p in params.values())
+        for x in (opt._m, opt._v):
+            assert np.all((x == 0.0) | (np.abs(x) >= tiny))
+        assert params.dtype == dtype
 
 
 class TestClipping:
     def test_norm_bounded(self):
         rng = np.random.default_rng(5)
-        grads = {k: rng.normal(size=(20, 20)) * 10 for k in "abc"}
-        clipped, raw = clip_gradients(grads, 40.0)
-        total = np.sqrt(sum((g * g).sum() for g in clipped.values()))
-        assert total <= 40.0 + 1e-9
+        grads = rng.normal(size=1200) * 10
+        norm = np.sqrt(grads @ grads)
+        raw = clip_gradients(grads, 40.0)
+        assert np.sqrt(grads @ grads) <= 40.0 + 1e-9
+        assert raw == pytest.approx(norm, rel=1e-12)
         assert raw > 40.0
 
     def test_small_gradients_untouched(self):
-        grads = {"a": np.array([0.1, 0.2])}
-        clipped, _ = clip_gradients(grads, 40.0)
-        np.testing.assert_array_equal(clipped["a"], grads["a"])
+        grads = np.array([0.1, 0.2])
+        clip_gradients(grads, 40.0)
+        np.testing.assert_array_equal(grads, [0.1, 0.2])
 
 
 class TestEpsilonSchedule:
@@ -199,6 +281,20 @@ class TestHyperparams:
             DqnHyperparams(learning_rate=0.0)
         with pytest.raises(ValueError):
             DqnHyperparams(epsilon_end=2.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 2.5),
+            ("batch_size", 32.0),
+            ("learning_rate", float("nan")),
+            ("discount", float("nan")),
+            ("grad_clip_norm", "40"),
+        ],
+    )
+    def test_counts_are_integers_and_reals_not_nan(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            DqnHyperparams(**{field: value})
 
 
 class TestModeGuard:

@@ -7,7 +7,7 @@ from conftest import random_affine_env, random_policy
 from mfgsolve import dp
 from mfgsolve.core import MeanField, Policy, meanfield_distance
 from mfgsolve.envs import EnvironmentSpec, make_lr, make_sis
-from mfgsolve.errors import DimensionError
+from mfgsolve.errors import ConfigError, DimensionError
 from mfgsolve.rl import DqnHyperparams, dqn_train
 from mfgsolve.sim import (
     FixedActionPolicy,
@@ -86,6 +86,11 @@ class TestSimulateMeanField:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ParticleConfig(0, 10, 0)
+
+    @pytest.mark.parametrize("counts", [(1.5, 10), (2, 10.0), (2, float("nan"))])
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ConfigError):
+            ParticleConfig(*counts, seed=0)
 
 
 class TestEvaluatePolicyStochastic:

@@ -46,6 +46,39 @@ class TestConfigValidation:
                 c=0.5,
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("convergence_tol", float("nan")),
+            ("window", 2.5),
+            ("max_iterations", 2.5),
+            ("max_iterations", True),
+            ("convergence_tol", "0.1"),
+        ],
+    )
+    def test_solver_config_numbers(self, field, value):
+        # A NaN tolerance never stopped a run, and a fractional window or
+        # iteration count failed only late, with a TypeError.
+        with pytest.raises(ConfigError, match=field):
+            SolverConfig(**{"max_iterations": 5, "mode": "boltzmann", "eta": 1.0, field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("outer_iterations", 1.5), ("c", float("nan")), ("c", None)]
+    )
+    def test_prior_descent_config_numbers(self, field, value):
+        kwargs = {"outer_iterations": 2, "c": 1.2, field: value}
+        with pytest.raises(ConfigError, match=field):
+            PriorDescentConfig(
+                SolverConfig(max_iterations=5, mode="boltzmann", eta=1.0), **kwargs
+            )
+
+    def test_numpy_numbers_accepted(self):
+        cfg = SolverConfig(
+            max_iterations=np.int64(5), mode="boltzmann", eta=1.0,
+            convergence_tol=np.float64(1e-9), window=np.int32(3),
+        )
+        PriorDescentConfig(cfg, outer_iterations=np.int64(2), c=np.float64(1.2))
+
 
 class TestExactFpi:
     def test_toy_lr_alternates(self):
