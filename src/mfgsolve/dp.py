@@ -4,13 +4,15 @@ mean field, on dense (T, S, A) tables; everything here is pure.
 A flow's MDP is its rewards and kernels at every time step, ``FlowTables``.
 ``flow_tables`` builds them with one stacked table call each over the whole
 flow, and each recursion over a frozen flow calls it unless the caller passes
-the tables in, so several recursions on one flow (a best response and a
-policy evaluation, say) build them once.  There is one backward
-recursion, ``_backward``: ``optimal_q`` (hard max), ``soft_q`` (smooth max
-with a prior) and ``policy_q`` (policy-weighted sum) differ only in how they
-value the next time slice.  There is one forward pass,
-``induced_mean_field``, and one softmax-with-prior, ``softmax_with_prior``,
-which ``boltzmann_policy`` and the network policies of ``rl`` share.
+the tables in.  There is one backward recursion, ``backward_sweep``, over a
+stack of value columns that differ only in how they value the next time
+slice: the hard max, a policy-weighted sum, a smooth max with a prior.  One
+sweep gives several of them on one flow (a best response and a policy
+evaluation, say) with one kernel product per step; ``optimal_q``,
+``policy_q`` and ``soft_q`` are its one-column calls.  There is one forward
+pass, ``induced_mean_field``, and one softmax-with-prior,
+``softmax_with_prior``, which ``boltzmann_policy`` and the network policies
+of ``rl`` share.
 Greedy policies, objective values and the temperature threshold above which
 the regularized fixed-point map is a contraction build on these.
 Environments whose table would exceed ``MAX_TABLE_CELLS`` are refused; use
@@ -116,67 +118,81 @@ def _tables_of(
     return tables
 
 
-def _backward(tables: FlowTables, next_value) -> QTable:
-    """The one backward recursion: ``Q[T-1] = R[T-1]`` and
-    ``Q[t] = R[t] + P[t] @ next_value(t + 1, Q[t + 1])``, where
-    ``next_value`` reduces a Q slice to its per-state values."""
-    rewards, kernels = tables.rewards, tables.kernels
-    T = len(rewards)
-    q = np.empty((T,) + rewards[0].shape)
-    q[T - 1] = rewards[T - 1]
-    for t in range(T - 2, -1, -1):
-        q[t] = rewards[t] + kernels[t] @ next_value(t + 1, q[t + 1])
-    return QTable(q)
+def backward_sweep(
+    env: EnvironmentSpec, mu: MeanField, hard: bool = False, pi: Policy | None = None,
+    soft: tuple[float, Policy] | None = None, tables: FlowTables | None = None,
+) -> list[QTable]:
+    """The one backward recursion under a frozen flow, over a stack of value
+    columns: the optimal Q if ``hard``, the Q of ``pi``, and the
+    entropy-regularized Q of ``soft = (eta, prior)``, in that order.
 
-
-def optimal_q(
-    env: EnvironmentSpec, mu: MeanField, tables: FlowTables | None = None
-) -> QTable:
-    """Backward induction for the optimal action values under a frozen flow.
-
-    The last time slice equals the reward slice; earlier slices add the
-    transition-weighted hard maximum of the next slice.  ``tables``, if
+    Each column is ``Q[T-1] = R[T-1]``, ``Q[t] = R[t] + P[t] @ v``, where
+    ``v`` is the next slice's hard max, ``pi``-weighted sum or smooth max
+    with the prior (shifted by the hard max, so tiny temperatures degrade
+    toward it instead of overflowing).  Per step one max serves the hard
+    column and the shift, one weighted sum the policy column and the
+    prior-weighted exponentials, one kernel product every column.  Each row
+    takes the operations it takes alone (a stacked ``P[t] @ V`` would not),
+    so a column is the same bit for bit in any stack.  ``tables``, if
     given, must be ``flow_tables(env, mu)`` for this very ``mu``.
     """
+    weights, eta = [], None
+    if pi is not None:
+        check_policy(env, pi)
+        weights.append(pi.per_time_state)
+    if soft is not None:
+        eta, prior = soft
+        check_policy(env, prior)
+        weights.append(prior.require_positive().per_time_state)
+        eta = check_temperature(eta)
     tabs = _tables_of(env, mu, tables)
-    return _backward(tabs, lambda t, q_next: q_next.max(axis=1))
+    rewards, kernels = tabs.rewards, tabs.kernels
+    h, smooth = int(hard), eta is not None
+    n = len(weights) - smooth  # policy columns
+    w = np.stack(weights, axis=1) if weights else None
+    T, m = len(rewards), h + len(weights)
+    q = np.empty((T, m) + rewards.shape[1:])
+    q[T - 1] = rewards[T - 1]
+    v = np.empty((m, rewards.shape[1]))
+    v_cols = v[:, None, :, None]  # each column an (S, 1) matrix
+    k_rows = kernels[:, None]  # each kernel broadcast over the columns
+    for t in range(T - 2, -1, -1):
+        q_next = q[t + 1]
+        if hard or smooth:  # the hard value and the smooth shift; policy rows are replaced
+            np.maximum.reduce(q_next, axis=2, out=v)
+        if weights:
+            x = w[t + 1] * q_next[h:]
+            if smooth:
+                np.multiply(w[t + 1, -1], np.exp((q_next[-1] - v[-1, :, None]) / eta), out=x[-1])
+            sums = np.add.reduce(x, axis=2)
+            v[h:h + n] = sums[:n]
+            if smooth:
+                v[-1] += eta * np.log(sums[-1])
+        np.add(rewards[t], np.matmul(k_rows[t], v_cols)[..., 0], out=q[t])
+    return [QTable(q[:, c]) for c in range(m)]
+
+
+def optimal_q(env: EnvironmentSpec, mu: MeanField, tables: FlowTables | None = None) -> QTable:
+    """Optimal action values under a frozen flow: the hard-maximum column of
+    ``backward_sweep``; ``tables`` as there."""
+    return backward_sweep(env, mu, hard=True, tables=tables)[0]
 
 
 def soft_q(
-    env: EnvironmentSpec,
-    mu: MeanField,
-    eta: float,
-    prior: Policy,
+    env: EnvironmentSpec, mu: MeanField, eta: float, prior: Policy,
     tables: FlowTables | None = None,
 ) -> QTable:
-    """Entropy-regularized backward induction (smooth maximum with prior).
-
-    The per-state smooth maximum of the next slice is computed shift-stably,
-    so tiny temperatures degrade gracefully toward the hard maximum instead
-    of overflowing.  ``tables`` as in ``optimal_q``.
-    """
-    check_policy(env, prior)
-    prior.require_positive()
-    eta = check_temperature(eta)
-    tabs = _tables_of(env, mu, tables)
-    qp = prior.per_time_state
-
-    def smooth_max(t, q_next):
-        m = q_next.max(axis=1, keepdims=True)
-        return m[:, 0] + eta * np.log(np.sum(qp[t] * np.exp((q_next - m) / eta), axis=1))
-
-    return _backward(tabs, smooth_max)
+    """Entropy-regularized action values (smooth maximum with prior): the
+    soft column of ``backward_sweep``; ``tables`` as there."""
+    return backward_sweep(env, mu, soft=(eta, prior), tables=tables)[0]
 
 
 def policy_q(
     env: EnvironmentSpec, mu: MeanField, pi: Policy, tables: FlowTables | None = None
 ) -> QTable:
-    """Policy-evaluation table: bootstraps with the policy-weighted next slice.
-    ``tables`` as in ``optimal_q``."""
-    check_policy(env, pi)
-    tabs = _tables_of(env, mu, tables)
-    p = pi.per_time_state
-    return _backward(tabs, lambda t, q_next: np.sum(p[t] * q_next, axis=1))
+    """Policy-evaluation table: the policy-weighted column of
+    ``backward_sweep``; ``tables`` as there."""
+    return backward_sweep(env, mu, pi=pi, tables=tables)[0]
 
 
 def greedy_policy(q: QTable, tie: TieRule = "first_optimal") -> Policy:
@@ -242,8 +258,12 @@ def objective_value(
     env: EnvironmentSpec, mu: MeanField, pi: Policy, tables: FlowTables | None = None
 ) -> float:
     """Expected total reward of the policy in the frozen-flow MDP.
-    ``tables`` as in ``optimal_q``."""
-    qpi = policy_q(env, mu, pi, tables=tables)
+    ``tables`` as in ``backward_sweep``."""
+    return start_value(env, pi, policy_q(env, mu, pi, tables=tables))
+
+
+def start_value(env: EnvironmentSpec, pi: Policy, qpi: QTable) -> float:
+    """Expected total reward of ``pi`` read off its Q table ``qpi``."""
     first = np.sum(pi.per_time_state[0] * qpi.values[0], axis=1)
     return float(env.initial_dist @ first)
 

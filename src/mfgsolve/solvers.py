@@ -36,7 +36,7 @@ from .core import (
 )
 from .envs.base import EnvironmentSpec
 from .errors import ConfigError, check_number
-from .exploitability import ExploitabilityReport, exploitability_exact
+from .exploitability import ExploitabilityReport, exact_report
 
 MODES = ("exact", "boltzmann", "relent")
 CYCLE_TOL = 1e-9
@@ -165,20 +165,6 @@ def _uniform_prior(env: EnvironmentSpec) -> Policy:
     return Policy.uniform(env.horizon, env.num_states, env.num_actions)
 
 
-def _policy_step(
-    env, tables: dp.FlowTables, qstar: dp.QTable | None, cfg: SolverConfig, prior: Policy
-) -> Policy:
-    """Policy from the flow behind ``tables``; ``qstar`` is that flow's
-    optimal Q if a best response already computed it, else None."""
-    if cfg.mode == "relent":
-        q = dp.soft_q(env, tables.mu, cfg.eta, prior, tables=tables)
-    else:
-        q = qstar if qstar is not None else dp.optimal_q(env, tables.mu, tables=tables)
-    if cfg.mode == "exact":
-        return dp.greedy_policy(q, cfg.tie)
-    return dp.boltzmann_policy(q, cfg.eta, prior)
-
-
 # (k, current flow, previous policy or None) -> (policy, report, next flow)
 Step = Callable[[int, MeanField, object], tuple[object, ExploitabilityReport, MeanField]]
 
@@ -243,29 +229,37 @@ def fixed_point_loop(mu: MeanField, step: Step, cfg: SolverConfig) -> IterationL
 
 
 def _iterate(env: EnvironmentSpec, cfg: SolverConfig) -> IterationLog:
-    """The skeleton with the tabular step.  Each flow's tables are built once
-    and shared by every recursion on it: the exploitability's best response
-    and policy evaluation on the induced flow, and the next policy step,
-    which in exact and boltzmann mode also reuses that best response's Q.  A
-    flow mixed by fictitious play is no policy's induced flow, so it gets
-    tables of its own."""
+    """The skeleton with the tabular step.  Each induced flow gets its tables
+    built once and one backward sweep over them, whose stacked columns are
+    the exploitability's best response and policy evaluation and, in relent
+    mode, the soft Q of the next policy step (which otherwise reuses the best
+    response's Q).  A flow mixed by fictitious play is no policy's induced
+    flow, so it gets tables, and a Q for the policy step, of its own."""
     dp.check_tabular(env)
     prior = (cfg.prior or _uniform_prior(env)).require_positive()
-    tables = qstar = None  # the last induced flow's tables, and its optimal Q
+    soft = (cfg.eta, prior) if cfg.mode == "relent" else None
+    tables = q = None  # the last induced flow's tables, and the policy step's Q on them
 
     def step(k: int, mu: MeanField, pi: Policy | None):
-        nonlocal tables, qstar
+        nonlocal tables, q
         if tables is None or tables.mu is not mu:
-            tables = qstar = None  # free the unmixed flow's tables first
+            tables = q = None  # free the unmixed flow's tables first
             tables = dp.flow_tables(env, mu)
-        pi_new = _policy_step(env, tables, qstar, cfg, prior)
+            q = (dp.soft_q(env, mu, cfg.eta, prior, tables=tables) if soft
+                 else dp.optimal_q(env, mu, tables=tables))
+        if cfg.mode == "exact":
+            pi_new = dp.greedy_policy(q, cfg.tie)
+        else:
+            pi_new = dp.boltzmann_policy(q, cfg.eta, prior)
         if cfg.fp_average_policy and k > 0:
             pi_new = mix(pi_new, pi, 1.0 / (k + 1))
-        tables = None  # one flow's tables alive at a time
+        tables = q = None  # one flow's tables alive at a time
         tables = dp.flow_tables(env, dp.induced_mean_field(env, pi_new))
-        report = exploitability_exact(env, pi_new, tables)
-        qstar = report.best_response_q
-        return pi_new, report, tables.mu
+        qstar, qpi, *qsoft = dp.backward_sweep(
+            env, tables.mu, hard=True, pi=pi_new, soft=soft, tables=tables
+        )
+        q = qsoft[0] if soft else qstar
+        return pi_new, exact_report(env, pi_new, qstar, qpi), tables.mu
 
     mu = cfg.initial_mean_field or dp.induced_mean_field(env, prior)
     return fixed_point_loop(mu, step, cfg)

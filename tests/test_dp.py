@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_affine_env, random_env, random_mean_field, random_policy
@@ -478,6 +478,41 @@ class TestOneBackwardRecursion:
         tabs = dp.flow_tables(env, random_mean_field(rng, env))
         with pytest.raises(ValueError, match="different mean field"):
             dp.optimal_q(env, random_mean_field(rng, env), tables=tabs)
+
+
+class TestStackedColumns:
+    """Every column of a multi-column sweep is the one-column recursion's
+    result bit for bit, in any combination of columns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(game=games, eta=temperatures)
+    @example(  # constant kernel and constant reward
+        game={"seed": 3, "horizon": 5, "num_states": 4, "num_actions": 3,
+              "mu_reward": False, "mu_transition": False},
+        eta=0.2,
+    )
+    @example(  # horizon 1: no kernel, every column is the reward table
+        game={"seed": 4, "horizon": 1, "num_states": 3, "num_actions": 2,
+              "mu_reward": True, "mu_transition": True},
+        eta=1.0,
+    )
+    def test_columns_equal_the_one_column_sweeps(self, game, eta):
+        env, mu, pi, prior = draw_game(game)
+        tabs = dp.flow_tables(env, mu)
+        hard = dp.optimal_q(env, mu, tables=tabs).values
+        weighted = dp.policy_q(env, mu, pi, tables=tabs).values
+        smooth = dp.soft_q(env, mu, eta, prior, tables=tabs).values
+        stacks = [
+            ((hard, weighted, smooth), dict(hard=True, pi=pi, soft=(eta, prior))),
+            ((hard, weighted), dict(hard=True, pi=pi)),
+            ((hard, smooth), dict(hard=True, soft=(eta, prior))),
+            ((weighted, smooth), dict(pi=pi, soft=(eta, prior))),
+        ]
+        for want, columns in stacks:
+            got = dp.backward_sweep(env, mu, tables=tabs, **columns)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.values, w)
 
 
 class TestDpProperties:

@@ -197,6 +197,28 @@ class TestBoltzmannIteration:
             a.final_policy.per_time_state, b.final_policy.per_time_state
         )
 
+    # K = 7 iterations: K + 1 sweeps; a mixed flow (iterations 2 .. K - 1)
+    # gets one more each, 2K - 1 in all.
+    @pytest.mark.parametrize(
+        "mode, fp_meanfield, sweeps",
+        [("boltzmann", False, 8), ("relent", False, 8), ("relent", True, 13)],
+    )
+    def test_one_backward_sweep_per_flow(self, monkeypatch, mode, fp_meanfield, sweeps):
+        # Each induced flow's one sweep stacks the best response, the policy
+        # evaluation and, in relent mode, the next policy step's soft Q; only
+        # the start flow, and each flow mixed by fictitious play, needs a
+        # sweep of its own for the policy step.
+        calls = []
+        original = dp.backward_sweep
+        monkeypatch.setattr(
+            dp, "backward_sweep", lambda *a, **k: calls.append(1) or original(*a, **k)
+        )
+        cfg = SolverConfig(
+            max_iterations=7, mode=mode, eta=0.3, fp_average_meanfield=fp_meanfield
+        )
+        boltzmann_iteration(make_sis(), cfg)
+        assert len(calls) == sweeps
+
     def test_policy_rows_stay_simplex_under_fp(self):
         env = make_sis()
         cfg = SolverConfig(
