@@ -10,9 +10,10 @@ slice: the hard max, a policy-weighted sum, a smooth max with a prior.  One
 sweep gives several of them on one flow (a best response and a policy
 evaluation, say) with one kernel product per step; ``optimal_q``,
 ``policy_q`` and ``soft_q`` are its one-column calls.  There is one forward
-pass, ``induced_mean_field``, and one softmax-with-prior,
-``softmax_with_prior``, which ``boltzmann_policy`` and the network policies
-of ``rl`` share.
+pass, ``induced_mean_field``, and one softmax over logits, ``softmax``:
+``softmax_with_prior`` feeds it ``log(prior) + q / eta`` for
+``boltzmann_policy`` and the network policies of ``rl``, and the tabular
+solver step its carried prior logits plus ``q / eta``.
 Greedy policies, objective values and the temperature threshold above which
 the regularized fixed-point map is a contraction build on these.
 Environments whose table would exceed ``MAX_TABLE_CELLS`` are refused; use
@@ -22,7 +23,6 @@ the particle/DQN path for those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from .errors import CapacityError, DimensionError
 
 MAX_TABLE_CELLS = 1_000_000
 ARGMAX_ATOL = 1e-10
-
-TieRule = Literal["first_optimal", "uniform_over_optimal"]
-_TIE_RULES = ("first_optimal", "uniform_over_optimal")
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,9 @@ def backward_sweep(
 ) -> list[QTable]:
     """The one backward recursion under a frozen flow, over a stack of value
     columns: the optimal Q if ``hard``, the Q of ``pi``, and the
-    entropy-regularized Q of ``soft = (eta, prior)``, in that order.
+    entropy-regularized Q of ``soft = (eta, prior)``, in that order.  The
+    prior may hold zeros (a softmax policy that underflowed, say): its rows
+    are distributions, so the smooth max runs over their support.
 
     Each column is ``Q[T-1] = R[T-1]``, ``Q[t] = R[t] + P[t] @ v``, where
     ``v`` is the next slice's hard max, ``pi``-weighted sum or smooth max
@@ -143,7 +142,7 @@ def backward_sweep(
     if soft is not None:
         eta, prior = soft
         check_policy(env, prior)
-        weights.append(prior.require_positive().per_time_state)
+        weights.append(prior.per_time_state)
         eta = check_temperature(eta)
     tabs = _tables_of(env, mu, tables)
     rewards, kernels = tabs.rewards, tabs.kernels
@@ -182,9 +181,9 @@ def soft_q(
     env: EnvironmentSpec, mu: MeanField, eta: float, prior: Policy,
     tables: FlowTables | None = None,
 ) -> QTable:
-    """Entropy-regularized action values (smooth maximum with prior): the
-    soft column of ``backward_sweep``; ``tables`` as there."""
-    return backward_sweep(env, mu, soft=(eta, prior), tables=tables)[0]
+    """Entropy-regularized action values (smooth maximum with a positive
+    prior): the soft column of ``backward_sweep``; ``tables`` as there."""
+    return backward_sweep(env, mu, soft=(eta, prior.require_positive()), tables=tables)[0]
 
 
 def policy_q(
@@ -195,38 +194,35 @@ def policy_q(
     return backward_sweep(env, mu, pi=pi, tables=tables)[0]
 
 
-def greedy_policy(q: QTable, tie: TieRule = "first_optimal") -> Policy:
-    """Deterministic-support policy over the argmax set of every (t, s) row.
-
-    Ties are resolved within absolute tolerance ``ARGMAX_ATOL``: either all
-    mass on the first optimal action or spread evenly over all of them.
-    """
-    if tie not in _TIE_RULES:
-        raise ValueError(f"unknown tie rule {tie!r}, expected one of {_TIE_RULES}")
+def greedy_policy(q: QTable) -> Policy:
+    """Deterministic policy on the first optimal action of every (t, s) row,
+    optimal within absolute tolerance ``ARGMAX_ATOL``."""
     vals = q.values
     best = vals.max(axis=2, keepdims=True)
-    optimal = vals >= best - ARGMAX_ATOL
+    first = (vals >= best - ARGMAX_ATOL).argmax(axis=2)
     out = np.zeros_like(vals)
-    if tie == "uniform_over_optimal":
-        out = optimal / optimal.sum(axis=2, keepdims=True)
-    else:
-        first = optimal.argmax(axis=2)
-        t_idx, s_idx = np.indices(first.shape)
-        out[t_idx, s_idx, first] = 1.0
+    t_idx, s_idx = np.indices(first.shape)
+    out[t_idx, s_idx, first] = 1.0
     return Policy(out)
 
 
-def softmax_with_prior(q: np.ndarray, eta: float, prior: np.ndarray) -> np.ndarray:
-    """Rows ``prior * exp(q / eta)`` over the last axis, renormalized.
-
-    The per-row maximum is shifted out, so very low temperatures underflow
-    to the greedy rows (weighted by the prior on exact ties) rather than
-    produce NaN.  ``prior`` must be positive and broadcast against ``q``.
-    """
-    z = np.log(prior) + q / eta
-    z -= z.max(axis=-1, keepdims=True)
-    w = np.exp(z)
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Rows ``exp(z)`` over the last axis, renormalized.  The per-row
+    maximum is shifted out first, so entries far below it underflow to 0
+    rather than produce NaN."""
+    w = np.exp(z - z.max(axis=-1, keepdims=True))
     return w / w.sum(axis=-1, keepdims=True)
+
+
+def softmax_with_prior(q: np.ndarray, eta: float, prior: np.ndarray) -> np.ndarray:
+    """Rows ``prior * exp(q / eta)`` over the last axis, renormalized: the
+    ``softmax`` of the logits ``log(prior) + q / eta``.
+
+    Very low temperatures underflow to the greedy rows (weighted by the
+    prior on exact ties).  ``prior`` must be positive and broadcast against
+    ``q``.
+    """
+    return softmax(np.log(prior) + q / eta)
 
 
 def boltzmann_policy(q: QTable, eta: float, prior: Policy) -> Policy:

@@ -92,7 +92,7 @@ def boltzmann_dqn_iteration(
 
     trained = None  # (flow, the network trained on it)
 
-    def step(k: int, mu: MeanField, _):
+    def step(k: int, _eta, mu: MeanField, _pi):
         nonlocal trained
         train_ss, sim_ss, eval_ss = iter_ss[k].spawn(3)
         if trained is None or trained[0] is not mu:
@@ -103,7 +103,7 @@ def boltzmann_dqn_iteration(
             if eta > 0.0:
                 policy = dp.boltzmann_policy(qtab, eta, prior)
             else:
-                policy = dp.greedy_policy(qtab, cfg.tie)
+                policy = dp.greedy_policy(qtab)
             report = exploitability_exact(env, policy)
             mu_next = simulate_mean_field(
                 env, policy, replace(particles, seed=_seed_int(sim_ss))

@@ -7,9 +7,10 @@ and the trailing flows, averages flows for fictitious play, stops on
 ``convergence_tol`` and detects limit cycles.  The tabular step takes a greedy
 policy (exact fixed-point iteration) or a softmax one at a fixed temperature
 (over plain or entropy-regularized action values), optionally averaged with
-the previous policies; ``rl.loop`` supplies the learned step.  An outer
-prior-descent loop re-anchors the prior at the latest solution while scaling
-the temperature geometrically.
+the previous policies; ``rl.loop`` supplies the learned step.  The skeleton
+runs in phases, one per temperature: prior descent is a softmax run whose
+phases move the prior, carried as logits, to the last phase's policy while
+the temperature grows geometrically.
 
 All tabular runs are deterministic: identical configurations reproduce the
 same policies, flows, and exploitability series bit for bit (timing fields
@@ -18,10 +19,12 @@ aside).
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,7 +60,6 @@ class SolverConfig:
     max_iterations: int
     mode: str = "exact"
     eta: float | None = None
-    tie: dp.TieRule = "first_optimal"
     fp_average_policy: bool = False
     fp_average_meanfield: bool = False
     prior: Policy | None = None
@@ -79,10 +81,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PriorDescentConfig:
-    """Outer loop around a softmax run: per outer iteration, run ``inner``
-    (``inner.max_iterations`` iterations, starting at temperature
-    ``inner.eta``), promote its policy to the new prior, multiply the
-    temperature by ``c >= 1``."""
+    """A softmax run ``inner`` in ``outer_iterations`` phases of at most
+    ``inner.max_iterations`` iterations each, the first at temperature
+    ``inner.eta``; each next phase takes the last policy as its prior and
+    the temperature times ``c >= 1``."""
 
     inner: SolverConfig
     outer_iterations: int
@@ -123,7 +125,6 @@ class IterationLog:
     limit_cycle_period: int | None
     meanfield_history: list[np.ndarray]
     window: int
-    outer_boundaries: list[int] = field(default_factory=list)
 
     @property
     def exploitabilities(self) -> np.ndarray:
@@ -161,51 +162,62 @@ def detect_limit_cycle(
     return None
 
 
-def _uniform_prior(env: EnvironmentSpec) -> Policy:
-    return Policy.uniform(env.horizon, env.num_states, env.num_actions)
+# (k, eta, current flow, previous policy or None) -> (policy, report, next flow)
+Step = Callable[
+    [int, float | None, MeanField, object], tuple[object, ExploitabilityReport, MeanField]
+]
 
 
-# (k, current flow, previous policy or None) -> (policy, report, next flow)
-Step = Callable[[int, MeanField, object], tuple[object, ExploitabilityReport, MeanField]]
+def fixed_point_loop(
+    mu: MeanField, step: Step, cfg: SolverConfig, etas: list[float] | None = None
+) -> IterationLog:
+    """Iterate ``step`` from the start flow ``mu`` in one phase per
+    temperature of ``etas`` (default ``[cfg.eta]``), and log each iteration.
 
-
-def fixed_point_loop(mu: MeanField, step: Step, cfg: SolverConfig) -> IterationLog:
-    """Iterate ``step`` from the start flow ``mu`` for at most
-    ``cfg.max_iterations`` iterations and log each one.
+    A phase runs at most ``max_iterations`` iterations and ends early on
+    ``convergence_tol`` (``converged`` tells whether the last one did).  Its
+    ``k`` restarts, and with it the fictitious-play weight ``1 / (k + 1)``;
+    the step sees a new phase as ``k == 0`` with a previous policy.  The new
+    phase starts from the last flow the step returned, before flow
+    averaging.  Records carry their phase's temperature (0 when None) and
+    are numbered across the run.
 
     Only ``max_iterations``, ``fp_average_meanfield``, ``convergence_tol``,
-    ``window`` and ``eta`` (the records' label, 0 when None) are read here.
-    A step that keeps state between calls keys it to the flow it was built
-    on, so a flow mixed by fictitious play invalidates it.
+    ``window`` and ``eta`` are read here.  A step that keeps state between
+    calls keys it to the flow it was built on, so a flow mixed by fictitious
+    play invalidates it.
     """
-    eta = 0.0 if cfg.eta is None else cfg.eta
     history: deque[np.ndarray] = deque(maxlen=HISTORY_LEN)
     history.append(mu.per_time)
     records: list[IterationRecord] = []
     pi = None
-    converged = False
-    for k in range(cfg.max_iterations):
-        start = time.perf_counter()
-        pi_new, report, mu_next = step(k, mu, pi)
-        if cfg.fp_average_meanfield and k > 0:
-            mu_next = mix(mu_next, mu, 1.0 / (k + 1))
-        dist = meanfield_distance(mu_next, mu)
-        records.append(
-            IterationRecord(
-                index=k,
-                exploitability=report.value,
-                mf_distance_prev=dist,
-                mf_distance_final=np.nan,
-                eta=eta,
-                elapsed_s=time.perf_counter() - start,
-                std_error=report.std_error,
+    for phase, eta in enumerate(etas or [cfg.eta]):
+        if phase:
+            mu = unmixed  # the last policy's induced flow
+        converged = False
+        for k in range(cfg.max_iterations):
+            start = time.perf_counter()
+            pi_new, report, unmixed = step(k, eta, mu, pi)
+            mu_next = unmixed
+            if cfg.fp_average_meanfield and k > 0:
+                mu_next = mix(unmixed, mu, 1.0 / (k + 1))
+            dist = meanfield_distance(mu_next, mu)
+            records.append(
+                IterationRecord(
+                    index=len(records),
+                    exploitability=report.value,
+                    mf_distance_prev=dist,
+                    mf_distance_final=np.nan,
+                    eta=0.0 if eta is None else eta,
+                    elapsed_s=time.perf_counter() - start,
+                    std_error=report.std_error,
+                )
             )
-        )
-        history.append(mu_next.per_time)
-        pi, mu = pi_new, mu_next
-        if cfg.convergence_tol > 0.0 and dist < cfg.convergence_tol:
-            converged = True
-            break
+            history.append(mu_next.per_time)
+            pi, mu = pi_new, mu_next
+            if cfg.convergence_tol > 0.0 and dist < cfg.convergence_tol:
+                converged = True
+                break
     final = history[-1]
     for offset, snap in enumerate(reversed(history)):
         idx = len(records) - offset  # history holds one more entry (mu^0)
@@ -228,29 +240,49 @@ def fixed_point_loop(mu: MeanField, step: Step, cfg: SolverConfig) -> IterationL
     )
 
 
-def _iterate(env: EnvironmentSpec, cfg: SolverConfig) -> IterationLog:
+def _iterate(
+    env: EnvironmentSpec, cfg: SolverConfig, etas: list[float] | None = None
+) -> IterationLog:
     """The skeleton with the tabular step.  Each induced flow gets its tables
     built once and one backward sweep over them, whose stacked columns are
     the exploitability's best response and policy evaluation and, in relent
     mode, the soft Q of the next policy step (which otherwise reuses the best
     response's Q).  A flow mixed by fictitious play is no policy's induced
-    flow, so it gets tables, and a Q for the policy step, of its own."""
-    dp.check_tabular(env)
-    prior = (cfg.prior or _uniform_prior(env)).require_positive()
-    soft = (cfg.eta, prior) if cfg.mode == "relent" else None
-    tables = q = None  # the last induced flow's tables, and the policy step's Q on them
+    flow, so it gets tables, and a Q for the policy step, of its own.
 
-    def step(k: int, mu: MeanField, pi: Policy | None):
-        nonlocal tables, q
+    The softmax policy is ``softmax(logits + q / eta)``, the logits those of
+    the prior.  At a phase boundary the logits become that last sum, or the
+    log of the last policy if policy averaging mixed it, so a policy that
+    underflowed to an exact 0 is still a usable prior; the soft column's
+    prior becomes the last policy.  The new phase starts on that policy's
+    induced flow, so its tables stay, and in boltzmann mode its Q too."""
+    dp.check_tabular(env)
+    prior = cfg.prior or Policy.uniform(env.horizon, env.num_states, env.num_actions)
+    prior.require_positive()
+    logits = np.log(prior.per_time_state)
+    relent = cfg.mode == "relent"
+    tables = q = z = None  # the last induced flow's tables, the policy step's Q, the last sum
+
+    def step(k: int, eta: float | None, mu: MeanField, pi: Policy | None):
+        nonlocal prior, logits, tables, q, z
+        if k == 0 and pi is not None:  # a new phase: the last policy becomes the prior
+            if cfg.fp_average_policy:  # a 0 of the mixed policy is a logit of -inf
+                with np.errstate(divide="ignore"):
+                    logits = np.log(pi.per_time_state)
+            else:  # shifted to stay bounded
+                logits = z - z.max(axis=2, keepdims=True)
+            prior, q = pi, None if relent else q
         if tables is None or tables.mu is not mu:
             tables = q = None  # free the unmixed flow's tables first
             tables = dp.flow_tables(env, mu)
-            q = (dp.soft_q(env, mu, cfg.eta, prior, tables=tables) if soft
-                 else dp.optimal_q(env, mu, tables=tables))
+        soft = (eta, prior) if relent else None
+        if q is None:
+            q = dp.backward_sweep(env, mu, hard=not relent, soft=soft, tables=tables)[0]
         if cfg.mode == "exact":
-            pi_new = dp.greedy_policy(q, cfg.tie)
+            pi_new = dp.greedy_policy(q)
         else:
-            pi_new = dp.boltzmann_policy(q, cfg.eta, prior)
+            z = logits + q.values / eta
+            pi_new = Policy(dp.softmax(z))
         if cfg.fp_average_policy and k > 0:
             pi_new = mix(pi_new, pi, 1.0 / (k + 1))
         tables = q = None  # one flow's tables alive at a time
@@ -258,11 +290,11 @@ def _iterate(env: EnvironmentSpec, cfg: SolverConfig) -> IterationLog:
         qstar, qpi, *qsoft = dp.backward_sweep(
             env, tables.mu, hard=True, pi=pi_new, soft=soft, tables=tables
         )
-        q = qsoft[0] if soft else qstar
+        q = qsoft[0] if relent else qstar
         return pi_new, exact_report(env, pi_new, qstar, qpi), tables.mu
 
     mu = cfg.initial_mean_field or dp.induced_mean_field(env, prior)
-    return fixed_point_loop(mu, step, cfg)
+    return fixed_point_loop(mu, step, cfg, etas)
 
 
 def exact_fpi(env: EnvironmentSpec, cfg: SolverConfig) -> IterationLog:
@@ -283,37 +315,8 @@ def boltzmann_iteration(env: EnvironmentSpec, cfg: SolverConfig) -> IterationLog
 
 
 def prior_descent(env: EnvironmentSpec, cfg: PriorDescentConfig) -> IterationLog:
-    """Iterated softmax solves with the prior re-anchored at each solution.
-
-    Returns the concatenated inner logs; ``outer_boundaries`` marks the
-    record index where each outer iteration starts.
-    """
-    prior = (cfg.inner.prior or _uniform_prior(env)).require_positive()
-    eta = cfg.inner.eta
-    start = cfg.inner.initial_mean_field
-    boundaries: list[int] = []
-    records: list[IterationRecord] = []
-    last: IterationLog | None = None
-    for _ in range(cfg.outer_iterations):
-        boundaries.append(len(records))
-        last = boltzmann_iteration(
-            env, replace(cfg.inner, eta=eta, prior=prior, initial_mean_field=start)
-        )
-        for rec in last.records:
-            rec.index = len(records)
-            records.append(rec)
-        prior = last.final_policy.require_positive()
-        eta = eta * cfg.c
-        # The new prior's induced flow, unless flow averaging mixed it.
-        start = None if cfg.inner.fp_average_meanfield else last.final_meanfield
-    assert last is not None
-    return IterationLog(
-        records=records,
-        final_policy=last.final_policy,
-        final_meanfield=last.final_meanfield,
-        converged=last.converged,
-        limit_cycle_period=last.limit_cycle_period,
-        meanfield_history=last.meanfield_history,
-        window=cfg.inner.window,
-        outer_boundaries=boundaries,
-    )
+    """Softmax iteration in ``cfg.outer_iterations`` temperature phases of
+    ``cfg.inner``: each phase re-anchors the prior at the last policy and
+    multiplies the temperature by ``cfg.c``."""
+    etas = accumulate([cfg.c] * (cfg.outer_iterations - 1), operator.mul, initial=cfg.inner.eta)
+    return _iterate(env, cfg.inner, list(etas))

@@ -121,7 +121,7 @@ class TestPolicyQ:
         env = random_env(rng, 5, 4, 3)
         mu = random_mean_field(rng, env)
         qstar = dp.optimal_q(env, mu)
-        pi = dp.greedy_policy(qstar, "first_optimal")
+        pi = dp.greedy_policy(qstar)
         qpi = dp.policy_q(env, mu, pi).values
         np.testing.assert_allclose(qpi, qstar.values, atol=1e-10)
 
@@ -144,26 +144,14 @@ class TestGreedyPolicy:
     def test_unique_argmax(self):
         q = dp.QTable(np.array([[[1.0, 2.0, 0.5]]]))
         np.testing.assert_allclose(
-            dp.greedy_policy(q, "first_optimal").per_time_state[0, 0], [0, 1, 0]
-        )
-
-    def test_tie_uniform(self):
-        q = dp.QTable(np.array([[[2.0, 2.0, 0.5]]]))
-        np.testing.assert_allclose(
-            dp.greedy_policy(q, "uniform_over_optimal").per_time_state[0, 0],
-            [0.5, 0.5, 0],
+            dp.greedy_policy(q).per_time_state[0, 0], [0, 1, 0]
         )
 
     def test_tie_first(self):
         q = dp.QTable(np.array([[[2.0, 2.0, 0.5]]]))
         np.testing.assert_allclose(
-            dp.greedy_policy(q, "first_optimal").per_time_state[0, 0], [1, 0, 0]
+            dp.greedy_policy(q).per_time_state[0, 0], [1, 0, 0]
         )
-
-    def test_unknown_rule(self):
-        q = dp.QTable(np.zeros((1, 1, 2)))
-        with pytest.raises(ValueError):
-            dp.greedy_policy(q, "coin_flip")
 
 
 class TestBoltzmannPolicy:
@@ -191,7 +179,7 @@ class TestBoltzmannPolicy:
         q_vals = rng.normal(size=(3, 4, 3))
         q_vals[..., 0] += 0.5  # enforce gaps >= 0.1 toward a unique argmax
         q = dp.QTable(q_vals)
-        greedy = dp.greedy_policy(q, "first_optimal").per_time_state
+        greedy = dp.greedy_policy(q).per_time_state
         soft = dp.boltzmann_policy(q, 1e-4, Policy.uniform(3, 4, 3)).per_time_state
         gaps = np.sort(q_vals, axis=-1)
         mask = (gaps[..., -1] - gaps[..., -2]) >= 0.1

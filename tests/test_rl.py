@@ -421,7 +421,7 @@ def naive_learned_loop(env, eta, iterations, particles, hp, seed):
         if eta > 0.0:
             pi = dp.boltzmann_policy(q, eta, prior)
         else:
-            pi = dp.greedy_policy(q, "first_optimal")
+            pi = dp.greedy_policy(q)
         series.append(exploitability_exact(env, pi).value)
         mu = simulate_mean_field(env, pi, particle_config(sim_ss))
         flows.append(mu.per_time)

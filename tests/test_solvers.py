@@ -99,14 +99,15 @@ class TestExactFpi:
         )
 
     def test_fixed_point_stops_immediately(self):
-        env = make_toy_lr()
-        # the uniform-split flow is the equilibrium flow; with the symmetric
-        # tie rule the very first iteration reproduces it
-        cfg = SolverConfig(
-            max_iterations=50,
-            tie="uniform_over_optimal",
-            convergence_tol=1e-12,
+        # Neither reward nor kernel depends on the flow, so the greedy
+        # response to every flow is one policy, and its induced flow is a
+        # fixed point that the very first iteration reproduces.
+        env = random_affine_env(
+            np.random.default_rng(11), 4, 5, 3, mu_reward=False, mu_transition=False
         )
+        some_flow = dp.induced_mean_field(env, Policy.uniform(4, 5, 3))
+        start = dp.induced_mean_field(env, dp.greedy_policy(dp.optimal_q(env, some_flow)))
+        cfg = SolverConfig(max_iterations=50, convergence_tol=1e-12, initial_mean_field=start)
         log = exact_fpi(env, cfg)
         assert log.converged
         assert len(log.records) == 1
@@ -246,7 +247,7 @@ def naive_iterate(env, cfg):
         elif cfg.mode == "boltzmann":
             pi_new = dp.boltzmann_policy(dp.optimal_q(env, mu), cfg.eta, prior)
         else:
-            pi_new = dp.greedy_policy(dp.optimal_q(env, mu), cfg.tie)
+            pi_new = dp.greedy_policy(dp.optimal_q(env, mu))
         if cfg.fp_average_policy and k > 0:
             pi_new = mix(pi_new, pi, 1.0 / (k + 1))
         mu_next = dp.induced_mean_field(env, pi_new)
@@ -326,7 +327,6 @@ class TestPriorDescent:
             env, SolverConfig(max_iterations=30, mode="boltzmann", eta=1.0)
         )
         np.testing.assert_array_equal(pd.exploitabilities, inner.exploitabilities)
-        assert pd.outer_boundaries == [0]
 
     def test_eta_schedule_recorded(self):
         env = make_lr()
@@ -342,7 +342,6 @@ class TestPriorDescent:
         assert etas[:5] == [1.0] * 5
         assert etas[5:10] == [2.0] * 5
         assert etas[10:] == [4.0] * 5
-        assert pd.outer_boundaries == [0, 5, 10]
 
     def test_lr_descends_to_exact_equilibrium(self):
         env = make_lr()
@@ -368,9 +367,7 @@ class TestPriorDescent:
                 c=1.0,
             ),
         )
-        ends = [
-            pd.records[b - 1].exploitability for b in pd.outer_boundaries[1:]
-        ] + [pd.records[-1].exploitability]
+        ends = [r.exploitability for r in pd.records[99::100]]  # each phase's last
         diffs = np.diff(ends)
         assert np.any(diffs > 0.0)
 
@@ -401,21 +398,21 @@ class TestPriorDescent:
         assert len(log.records) == 2000
         assert len(calls) == 2000 + 1  # one per iteration, plus the first prior's flow
 
-    # An inner run's softmax underflows to an exact 0, and that policy is
-    # refused as the next prior.  A log-domain prior removes the markers.
-    @pytest.mark.xfail(strict=True, raises=ValueError)
+    # A phase's softmax underflows to an exact 0, and that policy becomes
+    # the next prior; its logits stay finite.
     def test_lr_cold_start_survives_underflow(self):
-        prior_descent(
+        log = prior_descent(
             make_lr(),
             PriorDescentConfig(
                 SolverConfig(max_iterations=20, mode="boltzmann", eta=0.001),
                 outer_iterations=3,
             ),
         )
+        assert np.any(log.final_policy.per_time_state == 0.0)
+        assert np.all(np.isfinite(log.exploitabilities))
 
-    @pytest.mark.xfail(strict=True, raises=ValueError)
     def test_sis_cold_start_survives_underflow(self):
-        prior_descent(
+        log = prior_descent(
             make_sis(),
             PriorDescentConfig(
                 SolverConfig(max_iterations=100, mode="relent", eta=0.002),
@@ -423,31 +420,83 @@ class TestPriorDescent:
                 c=1.2,
             ),
         )
+        assert np.any(log.final_policy.per_time_state == 0.0)
+        assert np.all(np.isfinite(log.exploitabilities))
+
+    @pytest.mark.filterwarnings("error")
+    def test_policy_averaged_cold_start_survives_underflow(self):
+        # The prior is then the averaged policy, whose exact 0s are logits
+        # of -inf: no warning, and the zeros stay zeros.
+        log = prior_descent(
+            random_affine_env(np.random.default_rng(1), 6, 5, 3),
+            PriorDescentConfig(
+                SolverConfig(
+                    max_iterations=10, mode="boltzmann", eta=0.01, fp_average_policy=True
+                ),
+                outer_iterations=8,
+                c=1.1,
+            ),
+        )
+        assert np.any(log.final_policy.per_time_state == 0.0)
+        assert np.all(np.isfinite(log.exploitabilities))
 
     @pytest.mark.parametrize("fp_meanfield", [False, True])
     def test_series_match_restarting_each_outer_iteration(self, fp_meanfield):
+        # An explicit logit accumulation through the public API: each outer
+        # iteration restarts the flow average at the last policy's induced
+        # flow, with that policy as the soft Q's prior and its logits,
+        # ``log(prior)`` plus each outer iteration's last ``q / eta``
+        # (shifted to a row maximum of 0), as the softmax's.  The second
+        # schedule is one iteration per outer iteration at a fixed
+        # temperature.
         env = make_sis()
-        cfg = PriorDescentConfig(
-            SolverConfig(
-                max_iterations=4, mode="relent", eta=0.15, fp_average_meanfield=fp_meanfield
-            ),
-            outer_iterations=3,
-            c=1.2,
-        )
-        expected, prior, eta = [], None, cfg.inner.eta
-        for _ in range(cfg.outer_iterations):
-            inner = boltzmann_iteration(
-                env,
+        for inner, outer, c in [(4, 3, 1.2), (1, 12, 1.0)]:
+            cfg = PriorDescentConfig(
                 SolverConfig(
-                    max_iterations=cfg.inner.max_iterations, mode="relent", eta=eta,
-                    prior=prior, fp_average_meanfield=fp_meanfield,
+                    max_iterations=inner, mode="relent", eta=0.15,
+                    fp_average_meanfield=fp_meanfield,
                 ),
+                outer_iterations=outer,
+                c=c,
             )
-            expected.extend(inner.exploitabilities)
-            prior, eta = inner.final_policy, eta * cfg.c
-        np.testing.assert_array_equal(
-            prior_descent(env, cfg).exploitabilities, np.array(expected)
+            prior = Policy.uniform(env.horizon, env.num_states, env.num_actions)
+            logits, eta, expected = np.log(prior.per_time_state), cfg.inner.eta, []
+            mu = dp.induced_mean_field(env, prior)
+            for _ in range(outer):
+                for k in range(inner):
+                    z = logits + dp.soft_q(env, mu, eta, prior).values / eta
+                    pi = Policy(dp.softmax(z))
+                    unmixed = dp.induced_mean_field(env, pi)
+                    mu = mix(unmixed, mu, 1.0 / (k + 1)) if fp_meanfield and k else unmixed
+                    expected.append(exploitability_exact(env, pi).value)
+                logits, prior, eta, mu = z - z.max(axis=2, keepdims=True), pi, eta * c, unmixed
+            np.testing.assert_array_equal(
+                prior_descent(env, cfg).exploitabilities, np.array(expected)
+            )
+
+    @pytest.mark.parametrize("mode, sweeps", [("boltzmann", 16), ("relent", 18)])
+    def test_phase_boundary_reuses_the_last_tables(self, monkeypatch, mode, sweeps):
+        # 3 phases of 5 iterations: one table build and one sweep per flow
+        # (the start flow and 15 induced flows).  A new phase starts on the
+        # last induced flow, so it builds no tables; in relent mode it sweeps
+        # once more for the new prior's soft Q.
+        calls = {"flow_tables": 0, "backward_sweep": 0}
+        for name in calls:
+            original = getattr(dp, name)
+            monkeypatch.setattr(
+                dp, name,
+                lambda *a, _f=original, _n=name, **k: calls.__setitem__(_n, calls[_n] + 1)
+                or _f(*a, **k),
+            )
+        prior_descent(
+            make_sis(),
+            PriorDescentConfig(
+                SolverConfig(max_iterations=5, mode=mode, eta=0.3),
+                outer_iterations=3,
+                c=1.2,
+            ),
         )
+        assert calls == {"flow_tables": 16, "backward_sweep": sweeps}
 
 
 def test_exact_fpi_deterministic_replay():
