@@ -161,8 +161,9 @@ class EnvironmentSpec:
             rewards = self.reward_table(mu_t)[codes, actions]
         return sample_rows(rng, rows), rewards
 
-    def observe_codes(self, t: int, codes: np.ndarray) -> np.ndarray:
-        """(n, obs_dim) network inputs of the states at time t."""
+    def observe_codes(self, t, codes: np.ndarray) -> np.ndarray:
+        """(n, obs_dim) network inputs of the states ``codes`` at time ``t``,
+        a scalar or one time per row ((n,) array)."""
         obs = np.zeros((len(codes), self.obs_dim))
         obs[np.arange(len(codes)), codes] = 1.0
         obs[:, -1] = t

@@ -199,9 +199,10 @@ class TaxiEnvironment:
         board, dest = np.divmod(rest, self._dest_slots)
         return pos, dest, board
 
-    def observe_codes(self, t: int, codes: np.ndarray) -> np.ndarray:
+    def observe_codes(self, t, codes: np.ndarray) -> np.ndarray:
         """(n, obs_dim) feature rows: one-hot tile, one-hot destination slot,
-        carrying flag, raw board bits, and the current time appended."""
+        carrying flag, raw board bits, and the time ``t`` appended, a scalar
+        or one time per row ((n,) array)."""
         pos, dest, board = self._fields(np.asarray(codes, dtype=np.int64))
         rows = np.arange(len(pos))
         obs = np.zeros((len(pos), self.obs_dim))

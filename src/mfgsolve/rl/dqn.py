@@ -11,12 +11,16 @@ once the buffer holds a full batch, the target network is synced on a fixed
 step period, and terminal transitions (the last step of the finite horizon)
 carry no bootstrap term.
 
-Training runs in float32: the network is cast once after initialisation, the
-target network is a copy of it, and the replay buffer stores observations in
-float32 (one-hot entries, flags and the integer time, all exact there).  Each
-update writes its gradient into one flat vector allocated per training; each
-target sync is one ``copyto`` of the flat parameters.  The trained network is
-returned in float32.
+The replay buffer stores what the game cannot derive: each transition is
+``(t, code, action, reward, next_code)``.  A sampled batch's network inputs
+come from one ``observe_codes`` call over its states at ``t`` and its next
+states at ``t + 1``, and the acting state is observed only on greedy steps.
+
+Training runs in float32: the network is cast once after initialisation and
+the target network is a copy of it.  Every feature (one-hot entries, flags,
+the integer time) is exact there.  Each update writes its gradient into one
+flat vector allocated per training; each target sync is one ``copyto`` of the
+flat parameters.  The trained network is returned in float32.
 """
 
 from __future__ import annotations
@@ -63,47 +67,37 @@ def epsilon_at(step: int, total_steps: int, hp: DqnHyperparams) -> float:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO transition store with uniform sampling."""
+    """Fixed-capacity FIFO store of transitions ``(t, code, action, reward,
+    next_code)`` with uniform sampling.  The game rebuilds a transition's
+    network inputs from its times and codes, and it is terminal when ``t``
+    is the last step of the horizon."""
 
-    def __init__(self, capacity: int, obs_dim: int):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim), dtype=np.float32)
-        self.actions = np.zeros(capacity, dtype=np.int64)
-        self.rewards = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim), dtype=np.float32)
-        self.terminals = np.zeros(capacity)
-        self._next = 0
-        self._size = 0
+        self.data = np.zeros(capacity, dtype=[
+            ("t", np.int64), ("code", np.int64), ("action", np.int64),
+            ("reward", np.float64), ("next_code", np.int64),
+        ])
+        self._added = 0
 
     def __len__(self) -> int:
-        return self._size
+        return min(self._added, self.capacity)
 
-    def add(self, obs, action: int, reward: float, next_obs, terminal: bool) -> None:
-        i = self._next
-        self.obs[i] = obs
-        self.actions[i] = action
-        self.rewards[i] = reward
-        self.next_obs[i] = next_obs
-        self.terminals[i] = float(terminal)
-        self._next = (i + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+    def add(self, t: int, code: int, action: int, reward: float, next_code: int) -> None:
+        self.data[self._added % self.capacity] = (t, code, action, reward, next_code)
+        self._added += 1
 
     def sample(self, rng: np.random.Generator, batch_size: int):
-        idx = rng.integers(self._size, size=batch_size)
-        return (
-            self.obs[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_obs[idx],
-            self.terminals[idx],
-        )
+        """Times, codes, actions, rewards and next codes of a uniform batch."""
+        batch = self.data[rng.integers(len(self), size=batch_size)]
+        return tuple(batch[f] for f in batch.dtype.names)
 
 
 def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetwork:
     """Train a dueling Q-network on the MDP of ``env`` frozen at the flow ``mu``.
 
-    Raises ``TrainingDivergedError`` as soon as the loss or parameters go
-    non-finite.
+    Raises ``TrainingDivergedError`` as soon as the loss goes non-finite, and
+    at the end if the parameters have.
     """
     check_meanfield(env, mu)
     init_ss, run_ss = np.random.SeedSequence(seed).spawn(2)
@@ -113,25 +107,27 @@ def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetw
     target_net = net.astype(np.float32)
     grads = np.empty_like(net.flat)
     opt = Adam(hp.learning_rate)
-    buffer = ReplayBuffer(hp.replay_capacity, env.obs_dim)
+    buffer = ReplayBuffer(hp.replay_capacity)
+    n, last = hp.batch_size, env.horizon - 1
     total_steps = hp.epochs * env.horizon
     step = 0
     for _ in range(hp.epochs):
         code = env.initial_codes(rng, 1)
-        obs = env.observe_codes(0, code)
         for t in range(env.horizon):
             if rng.random() < epsilon_at(step, total_steps, hp):
                 action = int(rng.integers(env.num_actions))
             else:
-                action = int(np.argmax(net.forward(obs)[0]))
+                action = int(np.argmax(net.forward(env.observe_codes(t, code))[0]))
             nxt, reward = env.step_codes(rng, t, code, np.array([action]), mu.at(t))
-            next_obs = env.observe_codes(t + 1, nxt)
-            buffer.add(obs[0], action, reward[0], next_obs[0], t == env.horizon - 1)
-            if len(buffer) >= hp.batch_size:
-                b_obs, b_act, b_rew, b_next, b_term = buffer.sample(rng, hp.batch_size)
-                bootstrap = target_net.forward(b_next).max(axis=1)
-                targets = b_rew + hp.discount * bootstrap * (1.0 - b_term)
-                loss, _ = net.loss_and_grad(b_obs, b_act, targets, out=grads)
+            buffer.add(t, code[0], action, reward[0], nxt[0])
+            if len(buffer) >= n:
+                ts, codes, actions, rewards, next_codes = buffer.sample(rng, n)
+                # Rows [0, n) are the states, rows [n, 2n) the next states.
+                obs = env.observe_codes(np.concatenate([ts, ts + 1]),
+                                        np.concatenate([codes, next_codes]))
+                bootstrap = target_net.forward(obs[n:]).max(axis=1)
+                targets = rewards + hp.discount * bootstrap * (ts < last)
+                loss, _ = net.loss_and_grad(obs[:n], actions, targets, out=grads)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at step {step} "
@@ -142,5 +138,7 @@ def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetw
             step += 1
             if step % hp.target_update_every == 0:
                 np.copyto(target_net.flat, net.flat)
-            code, obs = nxt, next_obs
+            code = nxt
+    if not np.isfinite(net.flat).all():
+        raise TrainingDivergedError(f"non-finite parameters after {step} steps")
     return net

@@ -3,10 +3,12 @@ adaptive-moment optimizer and global gradient-norm clipping it trains with.
 
 Architecture: one shared ReLU layer, then separate ReLU streams for the state
 value and the action advantages, combined as ``value + adv - mean(adv)``.
-The parameters live in one 1-D array, ``net.flat``: ``net.params`` maps the
-ten names of ``PARAM_NAMES`` to views of it, laid out in that order, and the
-gradient is one flat vector with the same views.  So the optimizer, the
-clipping, the dtype cast and the target-network sync each act on one array.
+The parameters live in one 1-D array, ``net.flat``, the network's only
+state besides its layout.  ``net.params`` is derived from it on each access:
+a read-only map from the ten names of ``PARAM_NAMES`` to views of ``flat``,
+laid out in that order.  The gradient is one flat vector with the same views.
+So the optimizer, the clipping, the dtype cast, the target-network sync and
+pickling each act on one array.
 
 Plain numpy in the parameters' dtype: a network is built in float64, and
 ``dqn_train`` casts its network to float32, about twice as fast at the
@@ -44,37 +46,29 @@ class DuelingQNetwork:
         sizes = [math.prod(s) for s in shapes]
         ends = list(accumulate(sizes))
         self._layout = list(zip(PARAM_NAMES, shapes, ends, sizes))
-        self._bind(np.empty(ends[-1]))
-        rng = np.random.default_rng(seed)
+        self.flat = np.empty(ends[-1])
+        p, rng = self.params, np.random.default_rng(seed)
         for w, b, (fan_in, fan_out) in zip(PARAM_NAMES[::2], PARAM_NAMES[1::2], layers):
             # Uniform fan-in scaling for both weights and biases.
             bound = 1.0 / np.sqrt(fan_in)
-            self.params[w][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            self.params[b][...] = rng.uniform(-bound, bound, size=fan_out)
+            p[w][...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            p[b][...] = rng.uniform(-bound, bound, size=fan_out)
 
     def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """The ten blocks of a vector laid out like ``self.flat``."""
         return {name: flat[end - size : end].reshape(shape)
                 for name, shape, end, size in self._layout}
 
-    def _bind(self, flat: np.ndarray) -> None:
-        # Read-only: rebinding a name would detach it from ``flat``.
-        self.flat = flat
-        self.params = MappingProxyType(self._views(flat))
-
-    def __getstate__(self) -> dict:
-        # Views are rebuilt on load so that they share the loaded ``flat``
-        # (and a mappingproxy cannot be pickled).
-        return {k: v for k, v in self.__dict__.items() if k != "params"}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._bind(self.flat)
+    @property
+    def params(self) -> MappingProxyType:
+        """Read-only name -> view map of the current ``flat`` (a rebound
+        name would leave the vector)."""
+        return MappingProxyType(self._views(self.flat))
 
     def astype(self, dtype) -> DuelingQNetwork:
         """A copy of the network with its parameters cast to ``dtype``."""
         net = copy.copy(self)
-        net._bind(self.flat.astype(dtype))
+        net.flat = self.flat.astype(dtype)
         return net
 
     @property
@@ -108,7 +102,7 @@ class DuelingQNetwork:
         np.sum(dha, axis=0, out=g["adv_b1"])
         np.matmul(hv.T, dvalue, out=g["value_w2"])
         np.sum(dvalue, axis=0, out=g["value_b2"])
-        dhv = (dvalue @ p["value_w2"].T) * (hv > 0.0)
+        dhv = (dvalue * p["value_w2"].T) * (hv > 0.0)
         np.matmul(h.T, dhv, out=g["value_w1"])
         np.sum(dhv, axis=0, out=g["value_b1"])
         dh = (dha @ p["adv_w1"].T + dhv @ p["value_w1"].T) * (h > 0.0)

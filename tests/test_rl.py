@@ -7,7 +7,7 @@ from scipy import stats
 from mfgsolve import dp
 from mfgsolve.core import Policy, flow_distance
 from mfgsolve.envs import EnvironmentSpec, make_rps, make_sis
-from mfgsolve.errors import ConfigError
+from mfgsolve.errors import ConfigError, TrainingDivergedError
 from mfgsolve.rl import (
     Adam,
     BoltzmannNetworkPolicy,
@@ -240,24 +240,23 @@ class TestEpsilonSchedule:
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=4, obs_dim=1)
+        buf = ReplayBuffer(capacity=4)
         for i in range(6):
-            buf.add([float(i)], i % 2, float(i), [float(i + 1)], False)
+            buf.add(0, i, i % 2, float(i), i + 1)
         assert len(buf) == 4
-        stored = sorted(buf.obs[:, 0].tolist())
-        assert stored == [2.0, 3.0, 4.0, 5.0]
+        stored = sorted(buf.data["code"].tolist())
+        assert stored == [2, 3, 4, 5]
 
     def test_uniform_sampling_chi_square(self):
-        buf = ReplayBuffer(capacity=64, obs_dim=1)
+        buf = ReplayBuffer(capacity=64)
         for i in range(64):
-            buf.add([float(i)], 0, 0.0, [0.0], False)
+            buf.add(0, i, 0, 0.0, 0)
         rng = np.random.default_rng(6)
         counts = np.zeros(64)
         draws = 64_000
         for _ in range(draws // 1000):
-            obs, *_ = buf.sample(rng, 1000)
-            idx = obs[:, 0].astype(int)
-            counts += np.bincount(idx, minlength=64)
+            _, codes, *_ = buf.sample(rng, 1000)
+            counts += np.bincount(codes, minlength=64)
         expected = draws / 64
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(0.99, df=63)
@@ -335,6 +334,24 @@ class TestDqnTraining:
         for t, s in reachable:
             best = qnet[t, s].argmax()
             assert qstar[t, s, best] >= qstar[t, s].max() - 1e-9
+
+    def test_non_finite_last_update_raises(self, monkeypatch):
+        # The loss check runs before each update, so only the parameter
+        # check at the end sees a last update that went non-finite.
+        env = make_rps()
+        mu = dp.induced_mean_field(env, Policy.uniform(env.horizon, env.num_states, env.num_actions))
+        hp = DqnHyperparams(epochs=3, batch_size=4, hidden_width=8, replay_capacity=16)
+        updates = hp.epochs * env.horizon - hp.batch_size + 1
+        step = Adam.step
+
+        def poisoned_last_step(self, params, grads):
+            step(self, params, grads)
+            if self.step_count == updates:
+                params[0] = np.nan
+
+        monkeypatch.setattr(Adam, "step", poisoned_last_step)
+        with pytest.raises(TrainingDivergedError, match="non-finite parameters"):
+            dqn_train(env, mu, hp, seed=0)
 
     @pytest.mark.slow
     def test_sis_value_accuracy_across_seeds(self):

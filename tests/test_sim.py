@@ -274,8 +274,9 @@ class FormerFrozenMdp:
         reward, nxt = self.step(rng, t, int(codes[0]), int(actions[0]))
         return np.array([nxt]), np.array([reward])
 
-    def observe_codes(self, t, codes):
-        return self.observe(t, int(codes[0]))[None]
+    def observe_codes(self, ts, codes):
+        ts = np.broadcast_to(ts, np.shape(codes))
+        return np.stack([self.observe(t, int(c)) for t, c in zip(ts, codes)])
 
 
 games = st.fixed_dictionaries(
@@ -377,3 +378,12 @@ class TestParticleFlowsTendToExactFlows:
         exact = dp.induced_mean_field(env, pi).per_time
         gaps = 0.5 * np.abs(simulate_mean_field(env, pi, cfg).per_time - exact).sum(axis=1)
         assert np.all(gaps <= bounds)
+
+
+def test_observe_codes_takes_one_time_per_row():
+    rng = np.random.default_rng(23)
+    env = random_affine_env(rng, horizon=6, num_states=5, num_actions=3)
+    codes = rng.integers(env.num_states, size=20)
+    ts = rng.integers(env.horizon + 1, size=len(codes))
+    want = np.concatenate([env.observe_codes(t, [c]) for t, c in zip(ts, codes)])
+    np.testing.assert_array_equal(env.observe_codes(ts, codes), want)

@@ -318,6 +318,13 @@ class TestKernelOracle:
             np.testing.assert_array_equal(row, want)
             np.testing.assert_array_equal(observe_one(taxi, 42, s), want)
 
+    def test_observe_codes_takes_one_time_per_row(self, taxi):
+        rng = np.random.default_rng(17)
+        codes = [taxi.encode(s) for s in random_states(taxi, rng, 200)]
+        ts = rng.integers(taxi.horizon + 1, size=len(codes))
+        want = np.concatenate([taxi.observe_codes(t, [c]) for t, c in zip(ts, codes)])
+        np.testing.assert_array_equal(taxi.observe_codes(ts, codes), want)
+
     def test_jam_probability_elementwise(self, taxi):
         occ = np.array([0.0, 0.05, 0.07, 0.2])
         np.testing.assert_allclose(taxi.jam_probability(occ), [0.0, 0.5, 0.7, 0.7])
