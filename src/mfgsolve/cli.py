@@ -84,6 +84,8 @@ def load_config(path: str) -> dict:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, not {type(doc).__name__}")
     if "config" in doc and isinstance(doc["config"], dict):
         doc = doc["config"]  # manifests are re-runnable
     return resolve_config(doc)
@@ -94,7 +96,7 @@ def _is_count(value) -> bool:
 
 
 def _is_nonnegative_real(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
+    return type(value) in (int, float) and math.isfinite(value) and value >= 0
 
 
 def validate_config(cfg: dict) -> list[str]:
@@ -126,11 +128,9 @@ def validate_config(cfg: dict) -> list[str]:
         or any(type(s) is not int or s < 0 for s in seeds)
     ):
         problems.append("seeds must be a nonempty list of nonnegative integers")
-    for key in ("iterations", "window", "workers"):
+    for key in ("iterations", "workers"):
         if not _is_count(cfg.get(key, 1)):
             problems.append(f"{key} must be an integer >= 1")
-    if not _is_nonnegative_real(cfg.get("convergence_tol", 0.0)):
-        problems.append("convergence_tol must be a finite nonnegative real")
     prior = cfg.get("prior", "uniform")
     if isinstance(prior, str) and prior.startswith("from_file:"):
         if not os.path.exists(prior.split(":", 1)[1]):
@@ -219,37 +219,29 @@ def _etas(cfg: dict) -> list[float | None]:
 def _cell(cfg: dict, env, eta: float | None, seed: int) -> Callable[[], IterationLog]:
     """One sweep cell with its prior loaded and every config object built,
     returned unrun; a config mistake raises here, before any work."""
-    solver = cfg["solver"]
-    prior = _load_prior(cfg, env)
+    solver = mode = cfg["solver"]
+    if solver == "boltzmann_dqn":  # a grid entry of 0 is the greedy run
+        mode, eta = ("boltzmann", eta) if eta else ("exact", None)
+    pd = cfg["prior_descent"]
+    solver_cfg = SolverConfig(
+        max_iterations=pd["inner"] if pd else cfg["iterations"],
+        mode=mode,
+        eta=eta,
+        fp_average_policy=cfg["fp_policy"],
+        fp_average_meanfield=cfg["fp_meanfield"],
+        prior=_load_prior(cfg, env),
+        convergence_tol=cfg["convergence_tol"],
+        window=cfg["window"],
+    )
     if solver == "boltzmann_dqn":
         try:
             hp = DqnHyperparams(**cfg["dqn"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"dqn overrides invalid: {exc}") from exc
+        particles = ParticleConfig(**cfg["particles"], seed=seed)
         return partial(
-            boltzmann_dqn_iteration,
-            env,
-            eta=eta,
-            prior=prior,
-            iterations=cfg["iterations"],
-            particles=ParticleConfig(**cfg["particles"], seed=seed),
-            hp=hp,
-            seed=seed,
-            eval_episodes=cfg["eval_episodes"],
-            window=cfg["window"],
-            convergence_tol=cfg["convergence_tol"],
+            boltzmann_dqn_iteration, env, solver_cfg, particles, hp, seed, cfg["eval_episodes"]
         )
-    pd = cfg["prior_descent"]
-    solver_cfg = SolverConfig(
-        max_iterations=pd["inner"] if pd else cfg["iterations"],
-        mode=solver,
-        eta=eta,
-        fp_average_policy=cfg["fp_policy"],
-        fp_average_meanfield=cfg["fp_meanfield"],
-        prior=prior,
-        convergence_tol=cfg["convergence_tol"],
-        window=cfg["window"],
-    )
     if pd:
         pd_cfg = PriorDescentConfig(solver_cfg, pd["outer"], pd["c"])
         return partial(prior_descent, env, pd_cfg)
@@ -297,6 +289,8 @@ def _env_tag(cfg: dict) -> str:
 def run(config_path: str, output_dir: str | None = None, workers: int | None = None) -> int:
     cfg = load_config(config_path)
     problems = validate_config(cfg)
+    if workers is not None and not _is_count(workers):
+        problems.append(f"--workers must be an integer >= 1, got {workers!r}")
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, check_number
 
 SIMPLEX_ATOL = 1e-9
 
@@ -121,10 +121,9 @@ class Policy:
 
 
 def check_temperature(eta: float) -> float:
-    eta = float(eta)
-    if not np.isfinite(eta) or eta <= 0.0:
-        raise ValueError(f"temperature must be a positive real, got {eta}")
-    return eta
+    """``eta`` as a float; a ``ConfigError`` unless it is a finite real > 0."""
+    check_number("temperature eta", eta, 0.0, strict=True)
+    return float(eta)
 
 
 def tv_distance(p, q) -> float:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the number check every
 config object makes when it is built."""
 
+import math
 from numbers import Integral, Real
 
 
@@ -22,11 +23,11 @@ class TrainingDivergedError(RuntimeError):
 
 def check_number(what: str, value, low: float, *, integer=False, strict=False) -> None:
     """Raise ``ConfigError`` unless ``value`` is a number (an integer if
-    ``integer``) at least ``low``, or above it if ``strict``.  NaN meets no
-    bound, and a bool is no number."""
+    ``integer``) at least ``low``, or above it if ``strict``.  A bool is no
+    number, and NaN and +-inf are no finite number."""
     ok = isinstance(value, Integral if integer else Real) and not isinstance(value, bool)
-    if not (ok and (value > low if strict else value >= low)):
+    if not (ok and abs(value) < math.inf and (value > low if strict else value >= low)):
         raise ConfigError(
             f"{what} must be {'>' if strict else '>='} {low:g} "
-            f"({'an integer' if integer else 'a real number'}), got {value!r}"
+            f"({'an integer' if integer else 'a finite real number'}), got {value!r}"
         )

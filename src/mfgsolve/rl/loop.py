@@ -3,10 +3,11 @@ population flows (the large-scale counterpart of the tabular solvers).
 
 The loop is the solvers' fixed-point skeleton (``solvers.fixed_point_loop``)
 with a learned step: train a Q-network on the MDP frozen at the current flow,
-take the softmax-with-prior policy of its values, measure its exploitability
-and simulate the next flow with particles.  The skeleton's stopping rule,
-window and limit-cycle detection therefore apply here as they do to the
-tabular loops.  On tabular environments the network is collapsed to a dense
+take the softmax-with-prior policy of its values (the greedy one in mode
+'exact'), measure its exploitability and simulate the next flow with
+particles.  It takes the tabular loops' ``SolverConfig``, so the skeleton's
+stopping rule, window and limit-cycle detection apply here as they do
+there.  On tabular environments the network is collapsed to a dense
 table so the policy and the exploitability stay exact; on sampled
 environments (taxi) both the policy and the evaluation are stochastic, and
 the stochastic exploitability's simulated flow and best-response network,
@@ -42,57 +43,48 @@ def _seed_int(ss: np.random.SeedSequence) -> int:
 
 def boltzmann_dqn_iteration(
     env,
-    eta: float,
-    prior: Policy | np.ndarray | None,
-    iterations: int,
+    cfg: SolverConfig,
     particles: ParticleConfig,
     hp: DqnHyperparams | None = None,
     seed: int = 0,
     eval_episodes: int = 500,
-    window: int = SolverConfig.window,
-    convergence_tol: float = SolverConfig.convergence_tol,
 ) -> IterationLog:
-    """Run the learned softmax fixed-point loop and log exploitability.
+    """Run the learned softmax fixed-point loop of ``cfg`` and log
+    exploitability.
 
-    ``eta=0`` selects greedy policies over the network values (the
-    temperature-zero reference point); any other ``eta`` must be a positive
-    finite temperature.  ``prior`` is a tabular Policy for tabular
-    environments or a single action distribution for sampled ones (default
-    uniform in both cases).  ``window`` and ``convergence_tol`` act as in
-    ``SolverConfig``.
+    ``cfg`` is the tabular loops' config: ``mode`` 'exact' takes greedy
+    policies over the network values, 'boltzmann' softmax ones at ``eta``.
+    Its ``prior`` is a tabular Policy for tabular environments or a single
+    action distribution for sampled ones (default uniform in both cases).
 
     Only the plain Bellman recursion with softmax policies is offered here,
     not the entropy-regularized ('relent') value fitting: exponentiating
     approximated action values inside the smooth-maximum recursion fails
     quickly in floating point.  Tabular 'relent' solving is unaffected.
+    Fictitious play and a given start flow are refused too.
     """
-    if eta < 0.0:
-        raise ConfigError("eta must be >= 0 (0 means greedy)")
-    cfg = SolverConfig(
-        max_iterations=iterations,
-        mode="boltzmann" if eta else "exact",
-        eta=eta or None,
-        convergence_tol=convergence_tol,
-        window=window,
-    )
+    if cfg.mode == "relent" or cfg.fp_average_policy or cfg.fp_average_meanfield or (
+        cfg.initial_mean_field is not None
+    ):
+        raise ConfigError(
+            "the learned loop takes no 'relent' mode, fictitious play or initial_mean_field"
+        )
     hp = hp or DqnHyperparams()
     tabular = isinstance(env, EnvironmentSpec)
-    init_ss, *iter_ss = np.random.SeedSequence(seed).spawn(1 + iterations)
+    init_ss, *iter_ss = np.random.SeedSequence(seed).spawn(1 + cfg.max_iterations)
 
     if tabular:
-        prior = prior if prior is not None else Policy.uniform(
-            env.horizon, env.num_states, env.num_actions
-        )
+        prior = cfg.prior or Policy.uniform(env.horizon, env.num_states, env.num_actions)
         start_policy = prior.require_positive()
     else:
-        start_policy = FixedActionPolicy(env.num_actions, prior)
+        start_policy = FixedActionPolicy(env.num_actions, cfg.prior)
         prior = start_policy.probs
         if np.any(prior <= 0.0):
             raise ConfigError("prior must be strictly positive")
 
     trained = None  # (flow, the network trained on it)
 
-    def step(k: int, _eta, mu: MeanField, _pi):
+    def step(k: int, eta: float | None, mu: MeanField, _pi):
         nonlocal trained
         train_ss, sim_ss, eval_ss = iter_ss[k].spawn(3)
         if trained is None or trained[0] is not mu:
@@ -100,19 +92,19 @@ def boltzmann_dqn_iteration(
         net = trained[1]
         if tabular:
             qtab = network_q_table(net, env)
-            if eta > 0.0:
-                policy = dp.boltzmann_policy(qtab, eta, prior)
-            else:
+            if cfg.mode == "exact":
                 policy = dp.greedy_policy(qtab)
+            else:
+                policy = dp.boltzmann_policy(qtab, eta, prior)
             report = exploitability_exact(env, policy)
             mu_next = simulate_mean_field(
                 env, policy, replace(particles, seed=_seed_int(sim_ss))
             )
             return policy, report, mu_next
-        if eta > 0.0:
-            policy = BoltzmannNetworkPolicy(net, env, eta, prior)
-        else:
+        if cfg.mode == "exact":
             policy = GreedyNetworkPolicy(net, env)
+        else:
+            policy = BoltzmannNetworkPolicy(net, env, eta, prior)
         # The report's best response is trained on the policy's simulated
         # flow: exactly the next iteration's training problem.
         report = exploitability_stochastic(

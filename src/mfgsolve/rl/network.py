@@ -87,12 +87,12 @@ class DuelingQNetwork:
         ha = np.maximum(h @ p["adv_w1"] + p["adv_b1"], 0.0)
         adv = ha @ p["adv_w2"] + p["adv_b2"]
         q = value + adv - adv.mean(axis=1, keepdims=True)
-        return q, (obs, h, hv, ha)
+        return q, (p, obs, h, hv, ha)
 
     def _backward(self, cache, dq: np.ndarray, g: dict[str, np.ndarray]) -> None:
-        """Write the gradient blocks into the views ``g``."""
-        obs, h, hv, ha = cache
-        p = self.params
+        """Write the gradient blocks into the views ``g``; ``cache`` holds
+        the forward's parameter map and activations."""
+        p, obs, h, hv, ha = cache
         dvalue = dq.sum(axis=1, keepdims=True)
         dadv = dq - dq.sum(axis=1, keepdims=True) / self.num_actions
         np.matmul(ha.T, dadv, out=g["adv_w2"])

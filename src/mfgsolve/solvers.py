@@ -62,7 +62,7 @@ class SolverConfig:
     eta: float | None = None
     fp_average_policy: bool = False
     fp_average_meanfield: bool = False
-    prior: Policy | None = None
+    prior: Policy | np.ndarray | None = None  # an action distribution on a sampled game
     convergence_tol: float = 0.0
     window: int = 10
     initial_mean_field: MeanField | None = None

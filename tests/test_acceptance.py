@@ -367,11 +367,9 @@ class TestCriterion9:
         taxi = m.make_taxi()
         log = boltzmann_dqn_iteration(
             taxi,
-            eta=0.1,
-            prior=None,
-            iterations=15,
-            particles=ParticleConfig(5, 200, 0),
-            hp=DqnHyperparams(epochs=250),
+            m.SolverConfig(15, "boltzmann", 0.1),
+            ParticleConfig(5, 200, 0),
+            DqnHyperparams(epochs=250),
             seed=0,
             eval_episodes=500,
         )

@@ -111,6 +111,14 @@ class TestValidate:
         assert cli.main(["run", str(cfg)]) == 1
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("doc", [[1, 2], "x", 3])
+    def test_config_not_an_object(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(cfg)]) == 1
+        assert "JSON object" in capsys.readouterr().err
+        assert cli.main(["run", str(cfg)]) == 1
+
     def test_exact_needs_no_grid(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         write_config(cfg, solver="exact", eta_grid=None)
@@ -191,6 +199,13 @@ MISCONFIGURED = {
     ),
     "prior_descent_c_nan": (
         {"prior_descent": {**PRIOR_DESCENT, "c": float("nan")}}, None, "c must be >= 1"
+    ),
+    # A bool or +-inf is no number; the DQN cell's config is built by
+    # validate as a tabular cell's is.
+    "eta_grid_bool": ({"eta_grid": [True]}, None, "eta_grid"),
+    "convergence_tol_inf": ({"convergence_tol": float("inf")}, None, "convergence_tol"),
+    "dqn_convergence_tol_bool": (
+        {**SMALL_RPS_DQN, "convergence_tol": True}, None, "convergence_tol"
     ),
 }
 
@@ -286,6 +301,15 @@ class TestRun:
         cfg = tmp_path / "cfg.json"
         write_config(cfg, solver="magic")
         assert cli.main(["run", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_workers_flag_below_one(self, tmp_path, capsys, workers):
+        # -3 used to run serially and 0 to fall back to the config's value.
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg)
+        assert cli.main(["run", str(cfg), "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
     def test_parallel_taxi_dqn_matches_serial(self, tmp_path):
         # Worker processes send back logs whose final policy holds a trained

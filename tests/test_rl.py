@@ -24,6 +24,7 @@ from mfgsolve.rl import (
 from mfgsolve.rl.network import PARAM_NAMES
 from mfgsolve.exploitability import exploitability_exact
 from mfgsolve.sim import ParticleConfig, simulate_mean_field
+from mfgsolve.solvers import SolverConfig
 
 
 class TestNetwork:
@@ -298,7 +299,7 @@ class TestHyperparams:
 
 class TestModeGuard:
     def test_relent_tabular_still_works(self):
-        from mfgsolve.solvers import SolverConfig, boltzmann_iteration
+        from mfgsolve.solvers import boltzmann_iteration
 
         log = boltzmann_iteration(
             make_rps(), SolverConfig(max_iterations=3, mode="relent", eta=0.5)
@@ -373,13 +374,7 @@ class TestBoltzmannDqnIteration:
         env = make_rps()
         hp = DqnHyperparams(epochs=120, batch_size=32, hidden_width=32)
         log = boltzmann_dqn_iteration(
-            env,
-            eta=0.5,
-            prior=None,
-            iterations=2,
-            particles=ParticleConfig(2, 200, 0),
-            hp=hp,
-            seed=0,
+            env, SolverConfig(2, "boltzmann", 0.5), ParticleConfig(2, 200, 0), hp, seed=0
         )
         assert len(log.records) == 2
         assert all(np.isfinite(r.exploitability) for r in log.records)
@@ -391,11 +386,9 @@ class TestBoltzmannDqnIteration:
         hp = DqnHyperparams(epochs=60, batch_size=32, hidden_width=32)
         log = boltzmann_dqn_iteration(
             env,
-            eta=1e9,
-            prior=prior,
-            iterations=2,
-            particles=ParticleConfig(2, 500, 0),
-            hp=hp,
+            SolverConfig(2, "boltzmann", 1e9, prior=prior),
+            ParticleConfig(2, 500, 0),
+            hp,
             seed=1,
         )
         from mfgsolve.core import policy_distance
@@ -407,13 +400,27 @@ class TestBoltzmannDqnIteration:
             < 0.1
         )
 
-    def test_invalid_inputs(self):
+    @pytest.mark.parametrize(
+        "field", ["mode", "fp_average_policy", "fp_average_meanfield", "initial_mean_field"]
+    )
+    def test_invalid_inputs(self, field):
+        # The config refuses a negative temperature; the loop refuses, before
+        # any training, each field it cannot honour.
         env = make_rps()
-        with pytest.raises(ConfigError):
-            boltzmann_dqn_iteration(
-                env, eta=-1.0, prior=None, iterations=1,
-                particles=ParticleConfig(1, 10, 0),
-            )
+        with pytest.raises(ConfigError, match="temperature"):
+            SolverConfig(1, "boltzmann", -1.0)
+        refused = {
+            "mode": "relent",
+            "fp_average_policy": True,
+            "fp_average_meanfield": True,
+            "initial_mean_field": dp.induced_mean_field(
+                env, Policy.uniform(env.horizon, env.num_states, env.num_actions)
+            ),
+        }
+        cfg = SolverConfig(**{"max_iterations": 1, "mode": "boltzmann", "eta": 0.5,
+                              field: refused[field]})
+        with pytest.raises(ConfigError, match="learned loop"):
+            boltzmann_dqn_iteration(env, cfg, ParticleConfig(1, 10, 0))
 
 
 def naive_learned_loop(env, eta, iterations, particles, hp, seed):
@@ -454,9 +461,8 @@ class TestLearnedLoopMatchesNaiveLoop:
         env = make_rps()
         hp = DqnHyperparams(epochs=20, batch_size=8, hidden_width=8)
         particles = ParticleConfig(2, 50, 0)
-        log = boltzmann_dqn_iteration(
-            env, eta=eta, prior=None, iterations=3, particles=particles, hp=hp, seed=4
-        )
+        cfg = SolverConfig(3, "boltzmann", eta) if eta else SolverConfig(3)
+        log = boltzmann_dqn_iteration(env, cfg, particles, hp, seed=4)
         series, pi, flows = naive_learned_loop(env, eta, 3, particles, hp, seed=4)
         np.testing.assert_array_equal(log.exploitabilities, series)
         np.testing.assert_array_equal(log.final_policy.per_time_state, pi.per_time_state)
@@ -524,8 +530,7 @@ class TestSharedBestResponse:
         monkeypatch.setattr(loop, "dqn_train", recording_train)
         monkeypatch.setattr(loop, "exploitability_stochastic", recording_expl)
         log = boltzmann_dqn_iteration(
-            env, eta=0.1, prior=None, iterations=self.K, particles=particles,
-            hp=hp, seed=0, eval_episodes=2,
+            env, SolverConfig(self.K, "boltzmann", 0.1), particles, hp, seed=0, eval_episodes=2
         )
         return log, trainings, calls
 

@@ -54,11 +54,17 @@ class TestConfigValidation:
             ("max_iterations", 2.5),
             ("max_iterations", True),
             ("convergence_tol", "0.1"),
+            ("convergence_tol", float("inf")),
+            ("eta", "0.5"),
+            ("eta", True),
+            ("eta", float("inf")),
+            ("eta", -float("inf")),
         ],
     )
     def test_solver_config_numbers(self, field, value):
         # A NaN tolerance never stopped a run, and a fractional window or
-        # iteration count failed only late, with a TypeError.
+        # iteration count failed only late, with a TypeError; a string
+        # temperature was stored and failed only at run time.
         with pytest.raises(ConfigError, match=field):
             SolverConfig(**{"max_iterations": 5, "mode": "boltzmann", "eta": 1.0, field: value})
 
