@@ -15,7 +15,6 @@ from .core import (
 )
 from .dp import (
     FlowTables,
-    QTable,
     boltzmann_policy,
     contractivity_threshold,
     flow_tables,
@@ -68,7 +67,6 @@ __all__ = [
     "policy_distance",
     "meanfield_distance",
     "mix",
-    "QTable",
     "FlowTables",
     "flow_tables",
     "optimal_q",

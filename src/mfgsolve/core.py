@@ -61,14 +61,6 @@ class MeanField:
             raise DimensionError(f"mean field must be 2-d (T, S), got {arr.ndim}-d")
         object.__setattr__(self, "per_time", arr)
 
-    @property
-    def horizon(self) -> int:
-        return self.per_time.shape[0]
-
-    @property
-    def num_states(self) -> int:
-        return self.per_time.shape[1]
-
     def at(self, t: int) -> np.ndarray:
         return self.per_time[t]
 
@@ -87,29 +79,13 @@ class Policy:
             )
         object.__setattr__(self, "per_time_state", arr)
 
-    @property
-    def horizon(self) -> int:
-        return self.per_time_state.shape[0]
-
-    @property
-    def num_states(self) -> int:
-        return self.per_time_state.shape[1]
-
-    @property
-    def num_actions(self) -> int:
-        return self.per_time_state.shape[2]
-
     def action_probs(self, t: int, states) -> np.ndarray:
         """(n, A) action rows of the given states at time t."""
         return self.per_time_state[t][states]
 
-    @property
-    def is_positive(self) -> bool:
-        return bool(np.all(self.per_time_state > 0.0))
-
     def require_positive(self) -> "Policy":
         """Check suitability as a prior: every entry strictly positive."""
-        if not self.is_positive:
+        if not np.all(self.per_time_state > 0.0):
             raise ValueError("prior policy must put positive mass on every action")
         return self
 
@@ -128,26 +104,20 @@ def check_temperature(eta: float) -> float:
 
 def tv_distance(p, q) -> float:
     """Total variation distance ``0.5 * sum |p - q|`` between two distributions."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise DimensionError(f"length mismatch {p.shape} vs {q.shape}")
-    return 0.5 * float(np.abs(p - q).sum())
+    return flow_distance(np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64))
 
 
 def policy_distance(pi: Policy, pi2: Policy) -> float:
     """Sup metric over (t, s) of the total variation between action rows."""
-    a, b = pi.per_time_state, pi2.per_time_state
-    if a.shape != b.shape:
-        raise DimensionError(f"policy shape mismatch {a.shape} vs {b.shape}")
-    return 0.5 * float(np.abs(a - b).sum(axis=-1).max())
+    return flow_distance(pi.per_time_state, pi2.per_time_state)
 
 
 def flow_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Sup metric over time of the total variation between the state rows of
-    two (T, S) flow arrays."""
+    """Sup metric over the leading axes of the total variation between the
+    last-axis rows of two like-shaped arrays: over time between the state
+    rows of two (T, S) flows, say."""
     if a.shape != b.shape:
-        raise DimensionError(f"mean field shape mismatch {a.shape} vs {b.shape}")
+        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
     return 0.5 * float(np.abs(a - b).sum(axis=-1).max())
 
 

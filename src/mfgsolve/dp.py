@@ -1,5 +1,6 @@
 """Exact finite-horizon dynamic programming in the MDP induced by a fixed
-mean field, on dense (T, S, A) tables; everything here is pure.
+mean field, on dense (T, S, A) tables; everything here is pure.  Action
+values are plain float64 (T, S, A) arrays.
 
 A flow's MDP is its rewards and kernels at every time step, ``FlowTables``.
 ``flow_tables`` builds them with one stacked table call each over the whole
@@ -10,11 +11,14 @@ slice: the hard max, a policy-weighted sum, a smooth max with a prior.  One
 sweep gives several of them on one flow (a best response and a policy
 evaluation, say) with one kernel product per step; ``optimal_q``,
 ``policy_q`` and ``soft_q`` are its one-column calls.  There is one forward
-pass, ``induced_mean_field``, and one softmax over logits, ``softmax``:
-``softmax_with_prior`` feeds it ``log(prior) + q / eta`` for
-``boltzmann_policy`` and the network policies of ``rl``, and the tabular
-solver step its carried prior logits plus ``q / eta``.
-Greedy policies, objective values and the temperature threshold above which
+pass, ``induced_mean_field``, and one rule that turns action values into
+policy rows, ``policy_rows``: greedy on the first optimal action without a
+temperature, else ``softmax(logits + q / eta)`` with the prior's logits.
+``greedy_policy`` and ``boltzmann_policy`` are its checked (T, S, A) entry
+points, and the network policies of ``rl`` call it on their value rows; the
+tabular solver step feeds ``softmax`` its carried prior logits plus
+``q / eta`` itself.
+Objective values and the temperature threshold above which
 the regularized fixed-point map is a contraction build on these.
 Environments whose table would exceed ``MAX_TABLE_CELLS`` are refused; use
 the particle/DQN path for those.
@@ -32,23 +36,6 @@ from .errors import CapacityError, DimensionError
 
 MAX_TABLE_CELLS = 1_000_000
 ARGMAX_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class QTable:
-    """Dense action values indexed by (t, s, a)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 3:
-            raise DimensionError(f"Q table must be 3-d (T, S, A), got {arr.ndim}-d")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("Q table has non-finite entries")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
 
 
 def check_tabular(env: EnvironmentSpec, max_cells: int = MAX_TABLE_CELLS) -> None:
@@ -118,10 +105,11 @@ def _tables_of(
 def backward_sweep(
     env: EnvironmentSpec, mu: MeanField, hard: bool = False, pi: Policy | None = None,
     soft: tuple[float, Policy] | None = None, tables: FlowTables | None = None,
-) -> list[QTable]:
+) -> list[np.ndarray]:
     """The one backward recursion under a frozen flow, over a stack of value
     columns: the optimal Q if ``hard``, the Q of ``pi``, and the
-    entropy-regularized Q of ``soft = (eta, prior)``, in that order.  The
+    entropy-regularized Q of ``soft = (eta, prior)``, in that order, each a
+    read-only (T, S, A) view of the one array the sweep fills.  The
     prior may hold zeros (a softmax policy that underflowed, say): its rows
     are distributions, so the smooth max runs over their support.
 
@@ -168,10 +156,13 @@ def backward_sweep(
             if smooth:
                 v[-1] += eta * np.log(sums[-1])
         np.add(rewards[t], np.matmul(k_rows[t], v_cols)[..., 0], out=q[t])
-    return [QTable(q[:, c]) for c in range(m)]
+    q.setflags(write=False)
+    return [q[:, c] for c in range(m)]
 
 
-def optimal_q(env: EnvironmentSpec, mu: MeanField, tables: FlowTables | None = None) -> QTable:
+def optimal_q(
+    env: EnvironmentSpec, mu: MeanField, tables: FlowTables | None = None
+) -> np.ndarray:
     """Optimal action values under a frozen flow: the hard-maximum column of
     ``backward_sweep``; ``tables`` as there."""
     return backward_sweep(env, mu, hard=True, tables=tables)[0]
@@ -180,7 +171,7 @@ def optimal_q(env: EnvironmentSpec, mu: MeanField, tables: FlowTables | None = N
 def soft_q(
     env: EnvironmentSpec, mu: MeanField, eta: float, prior: Policy,
     tables: FlowTables | None = None,
-) -> QTable:
+) -> np.ndarray:
     """Entropy-regularized action values (smooth maximum with a positive
     prior): the soft column of ``backward_sweep``; ``tables`` as there."""
     return backward_sweep(env, mu, soft=(eta, prior.require_positive()), tables=tables)[0]
@@ -188,22 +179,10 @@ def soft_q(
 
 def policy_q(
     env: EnvironmentSpec, mu: MeanField, pi: Policy, tables: FlowTables | None = None
-) -> QTable:
+) -> np.ndarray:
     """Policy-evaluation table: the policy-weighted column of
     ``backward_sweep``; ``tables`` as there."""
     return backward_sweep(env, mu, pi=pi, tables=tables)[0]
-
-
-def greedy_policy(q: QTable) -> Policy:
-    """Deterministic policy on the first optimal action of every (t, s) row,
-    optimal within absolute tolerance ``ARGMAX_ATOL``."""
-    vals = q.values
-    best = vals.max(axis=2, keepdims=True)
-    first = (vals >= best - ARGMAX_ATOL).argmax(axis=2)
-    out = np.zeros_like(vals)
-    t_idx, s_idx = np.indices(first.shape)
-    out[t_idx, s_idx, first] = 1.0
-    return Policy(out)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -214,27 +193,46 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def softmax_with_prior(q: np.ndarray, eta: float, prior: np.ndarray) -> np.ndarray:
-    """Rows ``prior * exp(q / eta)`` over the last axis, renormalized: the
-    ``softmax`` of the logits ``log(prior) + q / eta``.
+def policy_rows(q: np.ndarray, eta: float | None = None, logits=None) -> np.ndarray:
+    """The policy rows of action values ``q`` over the last axis, for any
+    leading shape.  Without a temperature each row is one-hot on the first
+    action within ``ARGMAX_ATOL`` of the row maximum; with one it is
+    ``softmax(logits + q / eta)``, the logits those of the prior (none for
+    the uniform one), which must broadcast against ``q``.  Very low
+    temperatures underflow to the greedy rows, weighted by the prior on
+    exact ties.  Nothing is checked here."""
+    if eta is None:
+        first = (q >= q.max(axis=-1, keepdims=True) - ARGMAX_ATOL).argmax(axis=-1)
+        return (np.arange(q.shape[-1]) == first[..., None]).astype(q.dtype)
+    return softmax(q / eta if logits is None else logits + q / eta)
 
-    Very low temperatures underflow to the greedy rows (weighted by the
-    prior on exact ties).  ``prior`` must be positive and broadcast against
-    ``q``.
-    """
-    return softmax(np.log(prior) + q / eta)
+
+def _checked_q(q) -> np.ndarray:
+    """``q`` as a float64 array, refused unless it is a finite (T, S, A)."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 3:
+        raise DimensionError(f"Q table must be 3-d (T, S, A), got {q.ndim}-d")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("Q table has non-finite entries")
+    return q
 
 
-def boltzmann_policy(q: QTable, eta: float, prior: Policy) -> Policy:
-    """Softmax-with-prior policy of a Q table; see ``softmax_with_prior``."""
+def greedy_policy(q: np.ndarray) -> Policy:
+    """Deterministic policy on the first optimal action of every (t, s) row
+    of a (T, S, A) table; see ``policy_rows``."""
+    return Policy(policy_rows(_checked_q(q)))
+
+
+def boltzmann_policy(q: np.ndarray, eta: float, prior: Policy) -> Policy:
+    """Softmax-with-prior policy of a (T, S, A) table; see ``policy_rows``."""
+    q = _checked_q(q)
     eta = check_temperature(eta)
     prior.require_positive()
-    if q.values.shape != prior.per_time_state.shape:
+    if q.shape != prior.per_time_state.shape:
         raise DimensionError(
-            f"Q shape {q.values.shape} does not match prior "
-            f"{prior.per_time_state.shape}"
+            f"Q shape {q.shape} does not match prior {prior.per_time_state.shape}"
         )
-    return Policy(softmax_with_prior(q.values, eta, prior.per_time_state))
+    return Policy(policy_rows(q, eta, np.log(prior.per_time_state)))
 
 
 def induced_mean_field(env: EnvironmentSpec, pi: Policy) -> MeanField:
@@ -258,9 +256,9 @@ def objective_value(
     return start_value(env, pi, policy_q(env, mu, pi, tables=tables))
 
 
-def start_value(env: EnvironmentSpec, pi: Policy, qpi: QTable) -> float:
+def start_value(env: EnvironmentSpec, pi: Policy, qpi: np.ndarray) -> float:
     """Expected total reward of ``pi`` read off its Q table ``qpi``."""
-    first = np.sum(pi.per_time_state[0] * qpi.values[0], axis=1)
+    first = np.sum(pi.per_time_state[0] * qpi[0], axis=1)
     return float(env.initial_dist @ first)
 
 

@@ -1,7 +1,7 @@
 from .dqn import DqnHyperparams, ReplayBuffer, dqn_train, epsilon_at
 from .loop import boltzmann_dqn_iteration
 from .network import Adam, DuelingQNetwork, clip_gradients
-from .policies import BoltzmannNetworkPolicy, GreedyNetworkPolicy, network_q_table
+from .policies import NetworkPolicy, network_q_table
 
 __all__ = [
     "DqnHyperparams",
@@ -12,7 +12,6 @@ __all__ = [
     "Adam",
     "DuelingQNetwork",
     "clip_gradients",
-    "BoltzmannNetworkPolicy",
-    "GreedyNetworkPolicy",
+    "NetworkPolicy",
     "network_q_table",
 ]

@@ -3,8 +3,9 @@ population flows (the large-scale counterpart of the tabular solvers).
 
 The loop is the solvers' fixed-point skeleton (``solvers.fixed_point_loop``)
 with a learned step: train a Q-network on the MDP frozen at the current flow,
-take the softmax-with-prior policy of its values (the greedy one in mode
-'exact'), measure its exploitability and simulate the next flow with
+take the ``dp.policy_rows`` of its values at the skeleton's temperature (the
+greedy rows in mode 'exact', where it is None) with the prior's logits,
+measure the policy's exploitability and simulate the next flow with
 particles.  It takes the tabular loops' ``SolverConfig``, so the skeleton's
 stopping rule, window and limit-cycle detection apply here as they do
 there.  On tabular environments the network is collapsed to a dense
@@ -27,18 +28,10 @@ from ..core import MeanField, Policy
 from ..envs.base import EnvironmentSpec
 from ..errors import ConfigError
 from ..exploitability import exploitability_exact, exploitability_stochastic
-from ..sim import FixedActionPolicy, ParticleConfig, simulate_mean_field
+from ..sim import FixedActionPolicy, ParticleConfig, seed_int, simulate_mean_field
 from ..solvers import IterationLog, SolverConfig, fixed_point_loop
 from .dqn import DqnHyperparams, dqn_train
-from .policies import (
-    BoltzmannNetworkPolicy,
-    GreedyNetworkPolicy,
-    network_q_table,
-)
-
-
-def _seed_int(ss: np.random.SeedSequence) -> int:
-    return int(ss.generate_state(1)[0])
+from .policies import NetworkPolicy, network_q_table
 
 
 def boltzmann_dqn_iteration(
@@ -55,7 +48,8 @@ def boltzmann_dqn_iteration(
     ``cfg`` is the tabular loops' config: ``mode`` 'exact' takes greedy
     policies over the network values, 'boltzmann' softmax ones at ``eta``.
     Its ``prior`` is a tabular Policy for tabular environments or a single
-    action distribution for sampled ones (default uniform in both cases).
+    positive (A,) action distribution for sampled ones (default uniform in
+    both cases); any other is refused with a ``ConfigError`` before any work.
 
     Only the plain Bellman recursion with softmax policies is offered here,
     not the entropy-regularized ('relent') value fitting: exponentiating
@@ -74,13 +68,17 @@ def boltzmann_dqn_iteration(
     init_ss, *iter_ss = np.random.SeedSequence(seed).spawn(1 + cfg.max_iterations)
 
     if tabular:
-        prior = cfg.prior or Policy.uniform(env.horizon, env.num_states, env.num_actions)
-        start_policy = prior.require_positive()
+        start_policy = cfg.prior or Policy.uniform(env.horizon, env.num_states, env.num_actions)
+        logits = np.log(start_policy.require_positive().per_time_state)
     else:
         start_policy = FixedActionPolicy(env.num_actions, cfg.prior)
         prior = start_policy.probs
-        if np.any(prior <= 0.0):
-            raise ConfigError("prior must be strictly positive")
+        if prior.shape != (env.num_actions,) or not np.all(prior > 0.0):
+            raise ConfigError(
+                f"a sampled game's prior must be a positive ({env.num_actions},) "
+                f"action distribution, got {prior!r}"
+            )
+        logits = np.log(prior)
 
     trained = None  # (flow, the network trained on it)
 
@@ -88,23 +86,14 @@ def boltzmann_dqn_iteration(
         nonlocal trained
         train_ss, sim_ss, eval_ss = iter_ss[k].spawn(3)
         if trained is None or trained[0] is not mu:
-            trained = mu, dqn_train(env, mu, hp, seed=_seed_int(train_ss))
+            trained = mu, dqn_train(env, mu, hp, seed=seed_int(train_ss))
         net = trained[1]
         if tabular:
-            qtab = network_q_table(net, env)
-            if cfg.mode == "exact":
-                policy = dp.greedy_policy(qtab)
-            else:
-                policy = dp.boltzmann_policy(qtab, eta, prior)
+            policy = Policy(dp.policy_rows(network_q_table(net, env), eta, logits))
             report = exploitability_exact(env, policy)
-            mu_next = simulate_mean_field(
-                env, policy, replace(particles, seed=_seed_int(sim_ss))
-            )
+            mu_next = simulate_mean_field(env, policy, replace(particles, seed=seed_int(sim_ss)))
             return policy, report, mu_next
-        if cfg.mode == "exact":
-            policy = GreedyNetworkPolicy(net, env)
-        else:
-            policy = BoltzmannNetworkPolicy(net, env, eta, prior)
+        policy = NetworkPolicy(net, env, eta, logits)
         # The report's best response is trained on the policy's simulated
         # flow: exactly the next iteration's training problem.
         report = exploitability_stochastic(
@@ -112,11 +101,11 @@ def boltzmann_dqn_iteration(
             policy,
             particles,
             episodes=eval_episodes,
-            rng_seed=_seed_int(eval_ss),
+            rng_seed=seed_int(eval_ss),
             br_hyperparams=hp,
         )
         trained = report.meanfield, report.best_response_net
         return policy, report, report.meanfield
 
-    mu = simulate_mean_field(env, start_policy, replace(particles, seed=_seed_int(init_ss)))
+    mu = simulate_mean_field(env, start_policy, replace(particles, seed=seed_int(init_ss)))
     return fixed_point_loop(mu, step, cfg)

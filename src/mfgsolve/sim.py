@@ -39,6 +39,11 @@ class ParticleConfig:
         check_number("num_particles", self.num_particles, 1, integer=True)
 
 
+def seed_int(ss: np.random.SeedSequence) -> int:
+    """An integer seed drawn from ``ss``: its first 32-bit state word."""
+    return int(ss.generate_state(1)[0])
+
+
 class FixedActionPolicy:
     """One action distribution at every time and state; uniform unless
     ``probs`` is given."""

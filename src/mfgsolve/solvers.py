@@ -281,7 +281,7 @@ def _iterate(
         if cfg.mode == "exact":
             pi_new = dp.greedy_policy(q)
         else:
-            z = logits + q.values / eta
+            z = logits + q / eta
             pi_new = Policy(dp.softmax(z))
         if cfg.fp_average_policy and k > 0:
             pi_new = mix(pi_new, pi, 1.0 / (k + 1))

@@ -233,10 +233,10 @@ class TestCriterion6:
             env = make()
             prior = Policy.uniform(env.horizon, env.num_states, env.num_actions)
             mu = dp.induced_mean_field(env, prior)
-            qstar = dp.optimal_q(env, mu).values
+            qstar = dp.optimal_q(env, mu)
             prev = None
             for eta in etas:
-                qs = dp.soft_q(env, mu, eta, prior).values
+                qs = dp.soft_q(env, mu, eta, prior)
                 gap = np.abs(qs - qstar).max()
                 bound = eta * env.horizon * np.log(env.num_actions)
                 worst_violation = max(worst_violation, gap - bound)
@@ -322,11 +322,11 @@ class TestCriterion9:
         env = m.make_rps()
         pi = Policy.uniform(env.horizon, env.num_states, env.num_actions)
         mu = dp.induced_mean_field(env, pi)
-        qstar = dp.optimal_q(env, mu).values
+        qstar = dp.optimal_q(env, mu)
         reachable = [(0, 0), (1, 1), (1, 2), (1, 3)]
         hits = 0
         for seed in range(5):
-            qnet = network_q_table(dqn_train(env, mu, DqnHyperparams(), seed=seed), env).values
+            qnet = network_q_table(dqn_train(env, mu, DqnHyperparams(), seed=seed), env)
             hits += all(
                 qstar[t, s, qnet[t, s].argmax()] >= qstar[t, s].max() - 1e-9
                 for t, s in reachable

@@ -31,7 +31,7 @@ def single_action_env(rng):
 
 class TestOptimalQ:
     def test_toy_lr_hand_computed(self, toy_lr, toy_mu):
-        q = dp.optimal_q(toy_lr, toy_mu).values
+        q = dp.optimal_q(toy_lr, toy_mu)
         assert q[0, 0, 0] == pytest.approx(-0.5)
         assert q[0, 0, 1] == pytest.approx(-0.5)
 
@@ -39,15 +39,15 @@ class TestOptimalQ:
         rng = np.random.default_rng(0)
         env = random_env(rng, 5, 3, 2)
         mu = random_mean_field(rng, env)
-        q = dp.optimal_q(env, mu).values
+        q = dp.optimal_q(env, mu)
         np.testing.assert_allclose(q[-1], env.reward_table(mu.at(env.horizon - 1)))
 
     def test_single_action_equals_policy_value(self):
         rng = np.random.default_rng(1)
         env = single_action_env(rng)
         mu = random_mean_field(rng, env)
-        qstar = dp.optimal_q(env, mu).values
-        qpi = dp.policy_q(env, mu, uniform(env)).values
+        qstar = dp.optimal_q(env, mu)
+        qpi = dp.policy_q(env, mu, uniform(env))
         np.testing.assert_allclose(qstar, qpi, atol=1e-12)
 
     def test_shape_mismatch(self, toy_lr):
@@ -64,32 +64,32 @@ class TestOptimalQ:
 class TestSoftQ:
     def test_terminal_slice_for_any_eta(self, toy_lr, toy_mu):
         for eta in (1e-3, 1.0, 100.0):
-            q = dp.soft_q(toy_lr, toy_mu, eta, uniform(toy_lr)).values
+            q = dp.soft_q(toy_lr, toy_mu, eta, uniform(toy_lr))
             np.testing.assert_allclose(q[-1], toy_lr.reward_table(toy_mu.at(1)))
 
     def test_single_action_collapses_to_optimal(self):
         rng = np.random.default_rng(3)
         env = single_action_env(rng)
         mu = random_mean_field(rng, env)
-        qstar = dp.optimal_q(env, mu).values
+        qstar = dp.optimal_q(env, mu)
         for eta in (1e-3, 1.0, 50.0):
-            qs = dp.soft_q(env, mu, eta, uniform(env)).values
+            qs = dp.soft_q(env, mu, eta, uniform(env))
             np.testing.assert_allclose(qs, qstar, atol=1e-12)
 
     def test_toy_lr_low_temperature_gap(self, toy_lr, toy_mu):
         # Terminal rows are action-independent in toy LR, so the weighted
         # smooth maximum equals the hard maximum exactly there; the general
         # eta*log|A| bound still applies.
-        qs = dp.soft_q(toy_lr, toy_mu, 0.1, uniform(toy_lr)).values
-        qstar = dp.optimal_q(toy_lr, toy_mu).values
+        qs = dp.soft_q(toy_lr, toy_mu, 0.1, uniform(toy_lr))
+        qstar = dp.optimal_q(toy_lr, toy_mu)
         assert np.abs(qs[0, 0] - qstar[0, 0]).max() <= 0.08
         assert np.all(qs <= qstar + 1e-12)
 
     def test_strictly_below_with_real_action_gap(self):
         env = make_sis()
         mu = dp.induced_mean_field(env, uniform(env))
-        qs = dp.soft_q(env, mu, 0.1, uniform(env)).values
-        qstar = dp.optimal_q(env, mu).values
+        qs = dp.soft_q(env, mu, 0.1, uniform(env))
+        qstar = dp.optimal_q(env, mu)
         assert np.all(qs[:-1] < qstar[:-1])
 
     def test_monotone_decreasing_in_eta(self):
@@ -99,7 +99,7 @@ class TestSoftQ:
         prior = random_policy(rng, env)
         prev = None
         for eta in (1e-3, 1e-2, 0.1, 1.0, 10.0):
-            qs = dp.soft_q(env, mu, eta, prior).values
+            qs = dp.soft_q(env, mu, eta, prior)
             if prev is not None:
                 assert np.all(qs <= prev + 1e-9)
             prev = qs
@@ -111,7 +111,7 @@ class TestSoftQ:
             dp.soft_q(toy_lr, toy_mu, 1.0, Policy(dirac))
 
     def test_tiny_eta_no_nan(self, toy_lr, toy_mu):
-        qs = dp.soft_q(toy_lr, toy_mu, 1e-12, uniform(toy_lr)).values
+        qs = dp.soft_q(toy_lr, toy_mu, 1e-12, uniform(toy_lr))
         assert np.all(np.isfinite(qs))
 
 
@@ -122,11 +122,11 @@ class TestPolicyQ:
         mu = random_mean_field(rng, env)
         qstar = dp.optimal_q(env, mu)
         pi = dp.greedy_policy(qstar)
-        qpi = dp.policy_q(env, mu, pi).values
-        np.testing.assert_allclose(qpi, qstar.values, atol=1e-10)
+        qpi = dp.policy_q(env, mu, pi)
+        np.testing.assert_allclose(qpi, qstar, atol=1e-10)
 
     def test_toy_lr_uniform(self, toy_lr, toy_mu):
-        qpi = dp.policy_q(toy_lr, toy_mu, uniform(toy_lr)).values
+        qpi = dp.policy_q(toy_lr, toy_mu, uniform(toy_lr))
         assert qpi[0, 0, 0] == pytest.approx(-0.5)
 
     def test_sandwich_below_optimal(self):
@@ -134,43 +134,65 @@ class TestPolicyQ:
         for make in (make_lr, make_toy_lr, make_sis):
             env = make()
             mu = random_mean_field(rng, env)
-            qstar = dp.optimal_q(env, mu).values
+            qstar = dp.optimal_q(env, mu)
             for _ in range(100):
-                qpi = dp.policy_q(env, mu, random_policy(rng, env)).values
+                qpi = dp.policy_q(env, mu, random_policy(rng, env))
                 assert np.all(qpi <= qstar + 1e-9)
 
 
 class TestGreedyPolicy:
     def test_unique_argmax(self):
-        q = dp.QTable(np.array([[[1.0, 2.0, 0.5]]]))
+        q = np.array([[[1.0, 2.0, 0.5]]])
         np.testing.assert_allclose(
             dp.greedy_policy(q).per_time_state[0, 0], [0, 1, 0]
         )
 
     def test_tie_first(self):
-        q = dp.QTable(np.array([[[2.0, 2.0, 0.5]]]))
+        q = np.array([[[2.0, 2.0, 0.5]]])
         np.testing.assert_allclose(
             dp.greedy_policy(q).per_time_state[0, 0], [1, 0, 0]
         )
+
+
+ENTRY_POINTS = {
+    "greedy": dp.greedy_policy,
+    "boltzmann": lambda q: dp.boltzmann_policy(q, 0.5, Policy.uniform(1, 1, 2)),
+}
+
+
+class TestCheckedEntryPoints:
+    """The (T, S, A) entry points of ``policy_rows`` refuse malformed tables
+    from outside."""
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_refuses_a_table_that_is_not_3d(self, name):
+        with pytest.raises(DimensionError, match="3-d"):
+            ENTRY_POINTS[name](np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_values(self, name, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ENTRY_POINTS[name](np.array([[[0.0, bad]]]))
 
 
 class TestBoltzmannPolicy:
     def test_equal_row_returns_prior(self):
         rng = np.random.default_rng(7)
         prior = Policy(rng.dirichlet(np.ones(3), size=(2, 2)))
-        q = dp.QTable(np.full((2, 2, 3), 1.7))
+        q = np.full((2, 2, 3), 1.7)
         out = dp.boltzmann_policy(q, 0.5, prior)
         np.testing.assert_allclose(out.per_time_state, prior.per_time_state, atol=1e-12)
 
     def test_logistic_value(self):
-        q = dp.QTable(np.array([[[0.0, -1.0]]]))
+        q = np.array([[[0.0, -1.0]]])
         out = dp.boltzmann_policy(q, 1.0, Policy.uniform(1, 1, 2))
         np.testing.assert_allclose(out.per_time_state[0, 0], [0.7311, 0.2689], atol=1e-4)
 
     def test_huge_eta_returns_prior(self):
         rng = np.random.default_rng(8)
         prior = Policy(rng.dirichlet(np.ones(4), size=(2, 3)))
-        q = dp.QTable(rng.normal(size=(2, 3, 4)))
+        q = rng.normal(size=(2, 3, 4))
         out = dp.boltzmann_policy(q, 1e9, prior)
         assert np.abs(out.per_time_state - prior.per_time_state).max() < 1e-6
 
@@ -178,7 +200,7 @@ class TestBoltzmannPolicy:
         rng = np.random.default_rng(9)
         q_vals = rng.normal(size=(3, 4, 3))
         q_vals[..., 0] += 0.5  # enforce gaps >= 0.1 toward a unique argmax
-        q = dp.QTable(q_vals)
+        q = q_vals
         greedy = dp.greedy_policy(q).per_time_state
         soft = dp.boltzmann_policy(q, 1e-4, Policy.uniform(3, 4, 3)).per_time_state
         gaps = np.sort(q_vals, axis=-1)
@@ -187,7 +209,7 @@ class TestBoltzmannPolicy:
         assert dist[mask].max() < 1e-6
 
     def test_extreme_eta_no_nan(self):
-        q = dp.QTable(np.array([[[500.0, -500.0]]]))
+        q = np.array([[[500.0, -500.0]]])
         out = dp.boltzmann_policy(q, 1e-9, Policy.uniform(1, 1, 2))
         assert np.all(np.isfinite(out.per_time_state))
         np.testing.assert_allclose(out.per_time_state[0, 0], [1.0, 0.0])
@@ -430,7 +452,7 @@ class TestFlowTables:
         tabs = dp.flow_tables(env, dp.induced_mean_field(env, uniform(env)))
         assert tabs.kernels.shape == (0, 3, 2, 3)
         np.testing.assert_allclose(
-            dp.optimal_q(env, tabs.mu, tables=tabs).values[0], tabs.rewards[0]
+            dp.optimal_q(env, tabs.mu, tables=tabs)[0], tabs.rewards[0]
         )
 
 
@@ -442,14 +464,14 @@ class TestOneBackwardRecursion:
         tabs = dp.flow_tables(env, mu)
         shape = (env.horizon, env.num_states, env.num_actions)
         np.testing.assert_array_equal(
-            dp.optimal_q(env, mu, tables=tabs).values, loop_optimal_q(tabs, *shape)
+            dp.optimal_q(env, mu, tables=tabs), loop_optimal_q(tabs, *shape)
         )
         np.testing.assert_array_equal(
-            dp.soft_q(env, mu, eta, prior, tables=tabs).values,
+            dp.soft_q(env, mu, eta, prior, tables=tabs),
             loop_soft_q(tabs, *shape, eta, prior),
         )
         np.testing.assert_array_equal(
-            dp.policy_q(env, mu, pi, tables=tabs).values, loop_policy_q(tabs, *shape, pi)
+            dp.policy_q(env, mu, pi, tables=tabs), loop_policy_q(tabs, *shape, pi)
         )
 
     @settings(max_examples=100, deadline=None)
@@ -487,9 +509,9 @@ class TestStackedColumns:
     def test_columns_equal_the_one_column_sweeps(self, game, eta):
         env, mu, pi, prior = draw_game(game)
         tabs = dp.flow_tables(env, mu)
-        hard = dp.optimal_q(env, mu, tables=tabs).values
-        weighted = dp.policy_q(env, mu, pi, tables=tabs).values
-        smooth = dp.soft_q(env, mu, eta, prior, tables=tabs).values
+        hard = dp.optimal_q(env, mu, tables=tabs)
+        weighted = dp.policy_q(env, mu, pi, tables=tabs)
+        smooth = dp.soft_q(env, mu, eta, prior, tables=tabs)
         stacks = [
             ((hard, weighted, smooth), dict(hard=True, pi=pi, soft=(eta, prior))),
             ((hard, weighted), dict(hard=True, pi=pi)),
@@ -500,7 +522,7 @@ class TestStackedColumns:
             got = dp.backward_sweep(env, mu, tables=tabs, **columns)
             assert len(got) == len(want)
             for g, w in zip(got, want):
-                np.testing.assert_array_equal(g.values, w)
+                np.testing.assert_array_equal(g, w)
 
 
 class TestDpProperties:
@@ -514,7 +536,7 @@ class TestDpProperties:
         rng = np.random.default_rng(seed)
         q = 500.0 * rng.normal(size=(3, 4, num_actions))
         prior = rng.dirichlet(np.ones(num_actions), size=(3, 4))
-        rows = dp.softmax_with_prior(q, eta, prior)
+        rows = dp.policy_rows(q, eta, np.log(prior))
         assert np.all(np.isfinite(rows)) and np.all(rows >= 0.0)
         np.testing.assert_allclose(rows.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
 
@@ -523,8 +545,8 @@ class TestDpProperties:
     def test_soft_q_within_entropy_bound_of_optimal_q(self, game, eta):
         env, mu, _, _ = draw_game(game)
         tabs = dp.flow_tables(env, mu)
-        qstar = dp.optimal_q(env, mu, tables=tabs).values
-        qs = dp.soft_q(env, mu, eta, uniform(env), tables=tabs).values
+        qstar = dp.optimal_q(env, mu, tables=tabs)
+        qs = dp.soft_q(env, mu, eta, uniform(env), tables=tabs)
         slack = 1e-9 * (1.0 + np.abs(qstar))
         assert np.all(qs <= qstar + slack)
         bound = eta * env.horizon * np.log(env.num_actions)
@@ -537,7 +559,7 @@ class TestDpProperties:
         tabs = dp.flow_tables(env, mu)
         prev = None
         for eta in sorted(etas):
-            qs = dp.soft_q(env, mu, eta, prior, tables=tabs).values
+            qs = dp.soft_q(env, mu, eta, prior, tables=tabs)
             if prev is not None:
                 assert np.all(qs <= prev + 1e-9 * (1.0 + np.abs(prev)))
             prev = qs

@@ -10,10 +10,9 @@ from mfgsolve.envs import EnvironmentSpec, make_rps, make_sis
 from mfgsolve.errors import ConfigError, TrainingDivergedError
 from mfgsolve.rl import (
     Adam,
-    BoltzmannNetworkPolicy,
     DqnHyperparams,
     DuelingQNetwork,
-    GreedyNetworkPolicy,
+    NetworkPolicy,
     ReplayBuffer,
     boltzmann_dqn_iteration,
     clip_gradients,
@@ -321,16 +320,16 @@ class TestDqnTraining:
             epochs=300, batch_size=16, hidden_width=32, target_update_every=50
         )
         net = dqn_train(env, mu, hp, seed=0)
-        q = network_q_table(net, env).values
+        q = network_q_table(net, env)
         assert np.abs(q).max() < 0.05
 
     def test_rps_greedy_matches_exact_argmax(self):
         env = make_rps()
         pi = Policy.uniform(env.horizon, env.num_states, env.num_actions)
         mu = dp.induced_mean_field(env, pi)
-        qstar = dp.optimal_q(env, mu).values
+        qstar = dp.optimal_q(env, mu)
         net = dqn_train(env, mu, DqnHyperparams(), seed=0)
-        qnet = network_q_table(net, env).values
+        qnet = network_q_table(net, env)
         reachable = [(0, 0), (1, 1), (1, 2), (1, 3)]
         for t, s in reachable:
             best = qnet[t, s].argmax()
@@ -359,11 +358,11 @@ class TestDqnTraining:
         env = make_sis()
         pi = Policy.uniform(env.horizon, 2, 2)
         mu = dp.induced_mean_field(env, pi)
-        qstar = dp.optimal_q(env, mu).values
+        qstar = dp.optimal_q(env, mu)
         hits = 0
         for seed in range(5):
             net = dqn_train(env, mu, DqnHyperparams(), seed=seed)
-            qnet = network_q_table(net, env).values
+            qnet = network_q_table(net, env)
             mae = np.abs(qnet - qstar).mean()
             hits += mae < 0.2
         assert hits >= 3
@@ -421,6 +420,24 @@ class TestBoltzmannDqnIteration:
                               field: refused[field]})
         with pytest.raises(ConfigError, match="learned loop"):
             boltzmann_dqn_iteration(env, cfg, ParticleConfig(1, 10, 0))
+
+    @pytest.mark.parametrize(
+        "prior",
+        [[0.5, 0.5], [[0.2] * 5], [0.0, 0.25, 0.25, 0.25, 0.25], [np.nan] * 5],
+        ids=["short", "2d", "zero", "nan"],
+    )
+    def test_sampled_prior_must_be_a_positive_action_vector(self, monkeypatch, prior):
+        # A sampled game's prior is one action distribution; any other is
+        # refused where the loop resolves it, before the first training.
+        from mfgsolve.envs import make_taxi
+        from mfgsolve.rl import loop
+
+        trainings = []
+        monkeypatch.setattr(loop, "dqn_train", lambda *args, **kw: trainings.append(args))
+        cfg = SolverConfig(1, "boltzmann", 0.1, prior=np.array(prior))
+        with pytest.raises(ConfigError, match="prior"):
+            boltzmann_dqn_iteration(make_taxi(), cfg, ParticleConfig(1, 10, 0))
+        assert trainings == []
 
 
 def naive_learned_loop(env, eta, iterations, particles, hp, seed):
@@ -480,7 +497,7 @@ class TestNetworkPolicies:
 
         taxi = make_taxi()
         net = DuelingQNetwork(taxi.obs_dim, taxi.num_actions, hidden_width=16, seed=9)
-        pol = BoltzmannNetworkPolicy(net, taxi, eta=0.3)
+        pol = NetworkPolicy(net, taxi, eta=0.3)
         codes = np.full(4, taxi.encode(taxi.initial_state()))
         probs = pol.action_probs(0, codes)
         assert probs.shape == (4, 5)
@@ -492,7 +509,7 @@ class TestNetworkPolicies:
 
         taxi = make_taxi()
         net = DuelingQNetwork(taxi.obs_dim, taxi.num_actions, hidden_width=16, seed=9)
-        pol = GreedyNetworkPolicy(net, taxi)
+        pol = NetworkPolicy(net, taxi)
         rng = np.random.default_rng(3)
         codes = rng.integers(taxi.num_states, size=6)
         obs = np.concatenate([taxi.observe_codes(4, [c]) for c in codes])
@@ -500,6 +517,24 @@ class TestNetworkPolicies:
         probs = pol.action_probs(4, codes)
         np.testing.assert_array_equal(probs.argmax(axis=1), want)
         np.testing.assert_array_equal(probs.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_greedy_rows_break_ties_as_the_table_does(self, dtype):
+        # Actions 1 and 2 lie within ARGMAX_ATOL of the row maximum, so the
+        # one tie rule picks 1 where a plain argmax picks 2; as float32 the
+        # gap rounds away and both are exact ties.
+        values = np.array([[0.5, 2.0, 2.0 + 0.5 * dp.ARGMAX_ATOL]] * 3, dtype=dtype)
+
+        class StubNetwork:
+            def forward(self, obs):
+                return values[: len(obs)]
+
+        env = make_rps()
+        probs = NetworkPolicy(StubNetwork(), env).action_probs(1, np.arange(3))
+        table = dp.greedy_policy(values.astype(np.float64)[None]).per_time_state[0]
+        assert values.argmax(axis=1)[0] == (2 if dtype == np.float64 else 1)
+        np.testing.assert_array_equal(probs, table)
+        np.testing.assert_array_equal(probs.argmax(axis=1), 1)
 
 
 class TestSharedBestResponse:

@@ -470,7 +470,7 @@ class TestPriorDescent:
             mu = dp.induced_mean_field(env, prior)
             for _ in range(outer):
                 for k in range(inner):
-                    z = logits + dp.soft_q(env, mu, eta, prior).values / eta
+                    z = logits + dp.soft_q(env, mu, eta, prior) / eta
                     pi = Policy(dp.softmax(z))
                     unmixed = dp.induced_mean_field(env, pi)
                     mu = mix(unmixed, mu, 1.0 / (k + 1)) if fp_meanfield and k else unmixed
