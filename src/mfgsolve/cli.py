@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 import time
 from collections.abc import Callable
@@ -29,6 +30,7 @@ import numpy as np
 from . import __version__
 from .core import Policy, as_distribution
 from .envs import BUILTIN_FACTORIES, EnvironmentSpec, load_custom_env, make_taxi
+from .envs.base import _process_cpus, _set_table_threads
 from .errors import ConfigError
 from .rl.dqn import DqnHyperparams
 from .rl.loop import boltzmann_dqn_iteration
@@ -279,6 +281,46 @@ def _cell_worker(args):
     return stats, log
 
 
+def _git_revision() -> str:
+    """The commit checked out in the source tree this package runs from, read
+    from its ``.git``; "unknown" where there is none (an installed copy)."""
+    git = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, ".git")
+    try:
+        with open(os.path.join(git, "HEAD")) as f:
+            head = f.read().strip()
+        if not head.startswith("ref: "):
+            return head  # a detached HEAD is the revision itself
+        ref = head[len("ref: "):]
+        if os.path.exists(os.path.join(git, ref)):
+            with open(os.path.join(git, ref)) as f:
+                return f.read().strip()
+        with open(os.path.join(git, "packed-refs")) as f:
+            for line in f:
+                if line.split()[-1:] == [ref]:
+                    return line.split()[0]
+    except OSError:
+        pass
+    return "unknown"
+
+
+def _environment(table_threads: int) -> dict:
+    """What a run's numbers depend on besides its config: interpreter, numpy
+    and BLAS, the CPUs of the process, the threads each cell's table builds
+    may use, and the source revision."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        blas = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "cpus": _process_cpus(),
+        "table_threads": table_threads,
+        "git_revision": _git_revision(),
+    }
+
+
 def _env_tag(cfg: dict) -> str:
     env = cfg["env"]
     if env.startswith("custom:"):
@@ -319,8 +361,13 @@ def run(config_path: str, output_dir: str | None = None, workers: int | None = N
         stats["csv"] = name
         results[(eta, seed)] = stats
 
+    # Worker processes share the CPUs: each one's large table builds get
+    # its part of them.
+    table_threads = max(1, _process_cpus() // workers)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_table_threads, initargs=(table_threads,)
+        ) as pool:
             futures = [
                 (eta, seed, pool.submit(_cell_worker, (cfg, eta, seed)))
                 for eta, seed in cells
@@ -360,6 +407,7 @@ def run(config_path: str, output_dir: str | None = None, workers: int | None = N
         "version": __version__,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "config": cfg,
+        "environment": _environment(table_threads),
         "cells": {
             f"eta={k[0]}|seed={k[1]}": v for k, v in sorted(
                 results.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])

@@ -29,7 +29,7 @@ from ..envs.base import EnvironmentSpec
 from ..errors import ConfigError
 from ..exploitability import exploitability_exact, exploitability_stochastic
 from ..sim import FixedActionPolicy, ParticleConfig, seed_int, simulate_mean_field
-from ..solvers import IterationLog, SolverConfig, fixed_point_loop
+from ..solvers import IterationLog, SolverConfig, fixed_point_loop, tabular_prior
 from .dqn import DqnHyperparams, dqn_train
 from .policies import NetworkPolicy, network_q_table
 
@@ -68,16 +68,16 @@ def boltzmann_dqn_iteration(
     init_ss, *iter_ss = np.random.SeedSequence(seed).spawn(1 + cfg.max_iterations)
 
     if tabular:
-        start_policy = cfg.prior or Policy.uniform(env.horizon, env.num_states, env.num_actions)
+        start_policy = tabular_prior(env, cfg.prior)
         logits = np.log(start_policy.require_positive().per_time_state)
     else:
-        start_policy = FixedActionPolicy(env.num_actions, cfg.prior)
+        try:
+            start_policy = FixedActionPolicy(env.num_actions, cfg.prior)
+        except ConfigError as exc:
+            raise ConfigError(f"a sampled game's prior: {exc}") from exc
         prior = start_policy.probs
-        if prior.shape != (env.num_actions,) or not np.all(prior > 0.0):
-            raise ConfigError(
-                f"a sampled game's prior must be a positive ({env.num_actions},) "
-                f"action distribution, got {prior!r}"
-            )
+        if not np.all(prior > 0.0):
+            raise ConfigError(f"a sampled game's prior must be positive, got {prior!r}")
         logits = np.log(prior)
 
     trained = None  # (flow, the network trained on it)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeanField, Policy, sample_rows
+from .core import MeanField, Policy, as_distribution, sample_rows
 from .dp import check_meanfield, check_policy
-from .errors import check_number
+from .errors import ConfigError, check_number
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,23 @@ def seed_int(ss: np.random.SeedSequence) -> int:
 
 class FixedActionPolicy:
     """One action distribution at every time and state; uniform unless
-    ``probs`` is given."""
+    ``probs`` is given.  ``probs`` must be a distribution over the
+    ``num_actions`` actions (else a ``ConfigError``), and is kept as given,
+    not renormalized."""
 
     def __init__(self, num_actions: int, probs=None):
-        uniform = np.full(num_actions, 1.0 / num_actions)
-        self.probs = uniform if probs is None else np.asarray(probs, dtype=np.float64)
+        if probs is None:
+            probs = np.full(num_actions, 1.0 / num_actions)
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.shape != (num_actions,):
+            raise ConfigError(
+                f"action probabilities of shape {probs.shape}, expected ({num_actions},)"
+            )
+        try:
+            as_distribution(probs, what="action probabilities")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        self.probs = probs
 
     def action_probs(self, t: int, states) -> np.ndarray:
         return np.tile(self.probs, (len(states), 1))

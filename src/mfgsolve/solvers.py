@@ -240,6 +240,22 @@ def fixed_point_loop(
     )
 
 
+def tabular_prior(env: EnvironmentSpec, prior) -> Policy:
+    """The prior of a run on a tabular game: ``prior``, or the uniform policy
+    where it is None; anything but a (T, S, A) ``Policy`` of the game is a
+    ``ConfigError``."""
+    shape = (env.horizon, env.num_states, env.num_actions)
+    if prior is None:
+        return Policy.uniform(*shape)
+    if not isinstance(prior, Policy) or prior.per_time_state.shape != shape:
+        got = prior.per_time_state.shape if isinstance(prior, Policy) else np.shape(prior)
+        raise ConfigError(
+            f"the prior on {env.name!r} must be a Policy of shape {shape}, "
+            f"got {type(prior).__name__} of shape {got}"
+        )
+    return prior
+
+
 def _iterate(
     env: EnvironmentSpec, cfg: SolverConfig, etas: list[float] | None = None
 ) -> IterationLog:
@@ -257,8 +273,7 @@ def _iterate(
     prior becomes the last policy.  The new phase starts on that policy's
     induced flow, so its tables stay, and in boltzmann mode its Q too."""
     dp.check_tabular(env)
-    prior = cfg.prior or Policy.uniform(env.horizon, env.num_states, env.num_actions)
-    prior.require_positive()
+    prior = tabular_prior(env, cfg.prior).require_positive()
     logits = np.log(prior.per_time_state)
     relent = cfg.mode == "relent"
     tables = q = z = None  # the last induced flow's tables, the policy step's Q, the last sum

@@ -3,6 +3,8 @@ import csv
 import glob
 import json
 import os
+import platform
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +269,39 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["env"] == "toy_lr"
         assert manifest["failures"] == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_manifest_records_the_environment(self, tmp_path, workers):
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, seeds=[0])
+        out = tmp_path / "results"
+        assert cli.main(["run", str(cfg), "--workers", str(workers)]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["blas"], str) and env["blas"]
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert env["cpus"] == cpus
+        assert env["table_threads"] == (max(1, cpus // 2) if workers == 2 else cpus)
+        revision = env["git_revision"]
+        assert revision == "unknown" or re.fullmatch(r"[0-9a-f]{40}", revision)
+
+    def test_git_revision_follows_head(self, tmp_path, monkeypatch):
+        # HEAD names a branch whose ref is a loose file or a packed-refs line,
+        # or holds the revision itself; without a .git it is "unknown".
+        package = tmp_path / "src" / "mfgsolve"
+        package.mkdir(parents=True)
+        monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+        assert cli._git_revision() == "unknown"
+        git = tmp_path / ".git"
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "HEAD").write_text("ref: refs/heads/main\n")
+        (git / "packed-refs").write_text("# pack-refs\n" + "b" * 40 + " refs/heads/main\n")
+        assert cli._git_revision() == "b" * 40
+        (git / "refs" / "heads" / "main").write_text("a" * 40 + "\n")
+        assert cli._git_revision() == "a" * 40
+        (git / "HEAD").write_text("c" * 40 + "\n")
+        assert cli._git_revision() == "c" * 40
 
     def test_round_trip_from_manifest(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,11 @@
+import functools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BAD_CUSTOM_GAMES, random_affine_env
+import mfgsolve
 from mfgsolve.core import SIMPLEX_ATOL, sample_rows
 from mfgsolve.envs import (
     EnvironmentSpec,
@@ -16,6 +24,7 @@ from mfgsolve.envs import (
     make_sis,
     make_toy_lr,
 )
+from mfgsolve.envs import base
 from mfgsolve.errors import ConfigError
 
 
@@ -354,3 +363,164 @@ def test_affine_env_rejects_bad_shapes():
             reward_base=np.zeros((2, 2)),
             transition_base=np.zeros((2, 2, 3)),
         )
+
+
+# Table builds above the size gate run split across threads.  The games below
+# pass it: a (50, 5, 50, 50) kernel coefficient of 5 MB, and a (200, 14, 200)
+# reward coefficient of 4.5 MB whose stacks split into two column blocks.
+
+
+@functools.cache
+def large_kernel_game():
+    env = random_affine_env(np.random.default_rng(21), 3, 50, 5)
+    assert env.transition_mu_coef.nbytes > base.PARALLEL_MIN_BYTES
+    return env
+
+
+@pytest.fixture(scope="module")
+def large_reward_game():
+    rng = np.random.default_rng(22)
+    S, A = 200, 14
+    env = EnvironmentSpec(
+        "large_reward",
+        horizon=3,
+        initial_dist=rng.dirichlet(np.ones(S)),
+        reward_base=rng.normal(size=(S, A)),
+        transition_base=rng.dirichlet(np.ones(S), size=(S, A)),
+        reward_mu_coef=rng.normal(size=(S, A, S)),
+    )
+    assert env.reward_mu_coef.nbytes > base.PARALLEL_MIN_BYTES
+    assert S * A >= 2 * base.STACK_BLOCK_COLUMNS
+    return env
+
+
+@pytest.fixture
+def table_threads():
+    """Set the table threads of this process; restored after the test."""
+    saved = base._threads
+    yield base._set_table_threads
+    base._set_table_threads(saved)
+
+
+def parent_table(table_base, coef, mu, pair_rows):
+    """A table as the unsplit build writes it, one expression per case."""
+    if mu.ndim == 1:
+        return table_base + (coef.reshape(-1, pair_rows, len(mu)) @ mu).reshape(table_base.shape)
+    out = (mu @ coef.reshape(-1, mu.shape[-1]).T).reshape(mu.shape[:-1] + table_base.shape)
+    out += table_base
+    return out
+
+
+class TestSplitTables:
+    @pytest.mark.parametrize("threads", [None, 2, 3])
+    @pytest.mark.parametrize("rows", [None, 1, 2, 19])
+    def test_large_tables_equal_the_unsplit_products(
+        self, large_reward_game, table_threads, threads, rows
+    ):
+        # None: as many threads as the process has CPUs (one under taskset -c 0).
+        table_threads(threads)
+        rng = np.random.default_rng(rows)
+        for env in (large_kernel_game(), large_reward_game):
+            S = env.num_states
+            mu = rng.dirichlet(np.ones(S)) if rows is None else rng.dirichlet(np.ones(S), size=rows)
+            for got, table_base, coef, pair_rows in (
+                (env.transition_table(mu), env.transition_base, env.transition_mu_coef, S),
+                (env.reward_table(mu), env.reward_base, env.reward_mu_coef, 1),
+            ):
+                if coef is not None:
+                    np.testing.assert_array_equal(got, parent_table(table_base, coef, mu, pair_rows))
+
+    @pytest.mark.parametrize("threads", [None, 2, 4])
+    def test_large_step_rows_equal_the_unsplit_products(self, table_threads, threads):
+        # 100 distinct pairs of the 320 take the per-pair path, and their
+        # (100, 80, 80) coefficient rows pass the gate too.
+        table_threads(threads)
+        rng = np.random.default_rng(5)
+        env = random_affine_env(rng, 2, 80, 4)
+        mu = rng.dirichlet(np.ones(env.num_states))
+        flat = rng.choice(env.num_states * env.num_actions, size=100, replace=False)
+        codes, actions = np.divmod(np.repeat(flat, 2), env.num_actions)
+        assert env.transition_mu_coef[codes, actions].nbytes / 2 > base.PARALLEL_MIN_BYTES
+        nxt, rewards = env.step_codes(np.random.default_rng(6), 0, codes, actions, mu)
+        kernel = parent_table(env.transition_base, env.transition_mu_coef, mu, env.num_states)
+        rows = kernel[codes, actions]
+        np.testing.assert_array_equal(nxt, sample_rows(np.random.default_rng(6), rows))
+        np.testing.assert_array_equal(
+            rewards,
+            parent_table(env.reward_base, env.reward_mu_coef, mu, 1)[codes, actions],
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_states=st.integers(1, 8),
+        num_actions=st.integers(1, 3),
+        rows=st.sampled_from([None, 0, 1, 3]),
+        threads=st.integers(2, 5),
+    )
+    def test_split_and_one_block_builds_agree(
+        self, seed, num_states, num_actions, rows, threads
+    ):
+        # With the gate at 0 every build splits, into more blocks than pairs
+        # where the game is small.
+        rng = np.random.default_rng(seed)
+        env = random_affine_env(rng, 2, num_states, num_actions)
+        size = None if rows is None else (rows,)
+        mu = rng.dirichlet(np.ones(num_states), size=size)
+        saved = base._threads, base.PARALLEL_MIN_BYTES
+        try:
+            base._set_table_threads(1)
+            want = env.transition_table(mu), env.reward_table(mu)
+            base._set_table_threads(threads)
+            base.PARALLEL_MIN_BYTES = 0
+            got = env.transition_table(mu), env.reward_table(mu)
+        finally:
+            base._set_table_threads(saved[0])
+            base.PARALLEL_MIN_BYTES = saved[1]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_nothing_starts_before_the_first_large_build(self):
+        # Importing the package and building small tables start no pool,
+        # import no executor and ask for no CPU count.
+        code = """
+import sys
+import numpy as np
+import mfgsolve
+from mfgsolve.envs import base
+for make in (mfgsolve.make_sis, mfgsolve.make_rps):
+    env = make()
+    env.transition_table(env.initial_dist)
+    env.reward_table(np.tile(env.initial_dist, (3, 1)))
+assert base._pool is None and base._threads is None
+assert "concurrent.futures" not in sys.modules
+"""
+        src = os.path.dirname(os.path.dirname(mfgsolve.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120, env=env)
+
+    def test_forked_worker_builds_large_tables(self, table_threads):
+        # The parent's pool threads do not survive a fork: a worker that
+        # inherited the executor would queue its blocks for them forever.
+        table_threads(2)
+        env = large_kernel_game()
+        mu = np.random.default_rng(7).dirichlet(np.ones(env.num_states))
+        want = env.transition_table(mu)
+        assert base._pool is not None
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            got = pool.submit(build_in_time, mu, 60.0).result(timeout=120)
+        assert got is not None, "the forked worker's table build hung"
+        np.testing.assert_array_equal(got, want)
+
+
+def build_in_time(mu, seconds):
+    """The large kernel game's table at ``mu``, built on a daemon thread, or
+    None if it has not returned within ``seconds``; a hung build leaves this
+    process free to answer.  A forked worker inherits the game itself."""
+    box = []
+    env = large_kernel_game()
+    worker = threading.Thread(target=lambda: box.append(env.transition_table(mu)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    return box[0] if box else None

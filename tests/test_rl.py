@@ -440,6 +440,17 @@ class TestBoltzmannDqnIteration:
         assert trainings == []
 
 
+    def test_tabular_prior_must_be_a_game_policy(self, monkeypatch):
+        from mfgsolve.rl import loop
+
+        trainings = []
+        monkeypatch.setattr(loop, "dqn_train", lambda *args, **kw: trainings.append(args))
+        cfg = SolverConfig(1, "boltzmann", 0.5, prior=np.array([0.3, 0.3, 0.4]))
+        with pytest.raises(ConfigError, match="prior"):
+            boltzmann_dqn_iteration(make_rps(), cfg, ParticleConfig(1, 10, 0))
+        assert trainings == []
+
+
 def naive_learned_loop(env, eta, iterations, particles, hp, seed):
     """The learned loop on a tabular game written out from public calls:
     per iteration train on the current flow, take the network's softmax (or

@@ -162,6 +162,23 @@ class TestSampledTaxiPaths:
         c = simulate_mean_field(taxi, pi, ParticleConfig(2, 30, seed=9))
         assert not np.array_equal(a.per_time, c.per_time)
 
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, 0.5], [2.0, -1.0, 0.0, 0.0, 0.0], [0.2] * 4 + [np.nan], [0.3] * 5, [[0.2] * 5]],
+        ids=["short", "negative", "nan", "sum", "2d"],
+    )
+    def test_fixed_action_probs_must_be_a_distribution(self, taxi, probs):
+        # A short vector simulated a taxi with fewer actions, and negative
+        # entries were renormalized away when rows were sampled.
+        with pytest.raises(ConfigError, match="action probabilities"):
+            FixedActionPolicy(taxi.num_actions, probs)
+
+    def test_fixed_action_probs_kept_as_given(self):
+        probs = [0.5, 0.5 + 1e-12]
+        assert FixedActionPolicy(2, probs).probs.tolist() == probs
+        with pytest.raises(ConfigError):
+            FixedActionPolicy(2, [2.0, -1.0])
+
     def test_always_wait_earns_nothing(self, taxi):
         # A waiting taxi stays on S, where no passenger ever waits.
         mu = MeanField(np.full((taxi.horizon, taxi.mf_size), 1.0 / taxi.mf_size))

@@ -69,6 +69,23 @@ class TestConfigValidation:
             SolverConfig(**{"max_iterations": 5, "mode": "boltzmann", "eta": 1.0, field: value})
 
     @pytest.mark.parametrize(
+        "prior",
+        [
+            np.array([0.3, 0.3, 0.4]),
+            Policy.uniform(2, 4, 2),
+            [[[1 / 3] * 3] * 4] * 2,
+        ],
+        ids=["action-vector", "wrong-shape", "nested-list"],
+    )
+    @pytest.mark.parametrize("solve", [boltzmann_iteration, exact_fpi])
+    def test_tabular_prior_must_be_a_game_policy(self, prior, solve):
+        # An array prior failed with numpy's "truth value of an array is
+        # ambiguous" ValueError where the prior was resolved with ``or``.
+        mode, eta = ("exact", None) if solve is exact_fpi else ("boltzmann", 0.5)
+        with pytest.raises(ConfigError, match="prior"):
+            solve(make_rps(), SolverConfig(1, mode, eta, prior=prior))
+
+    @pytest.mark.parametrize(
         "field, value", [("outer_iterations", 1.5), ("c", float("nan")), ("c", None)]
     )
     def test_prior_descent_config_numbers(self, field, value):
