@@ -22,13 +22,12 @@ import platform
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .core import Policy, as_distribution
+from .core import Policy
 from .envs import BUILTIN_FACTORIES, EnvironmentSpec, load_custom_env, make_taxi
 from .envs.base import _process_cpus, _set_table_threads
 from .errors import ConfigError
@@ -42,6 +41,7 @@ from .solvers import (
     boltzmann_iteration,
     exact_fpi,
     prior_descent,
+    resolve_prior,
 )
 
 SOLVERS = ("exact", "boltzmann", "relent", "boltzmann_dqn")
@@ -134,10 +134,7 @@ def validate_config(cfg: dict) -> list[str]:
         if not _is_count(cfg.get(key, 1)):
             problems.append(f"{key} must be an integer >= 1")
     prior = cfg.get("prior", "uniform")
-    if isinstance(prior, str) and prior.startswith("from_file:"):
-        if not os.path.exists(prior.split(":", 1)[1]):
-            problems.append(f"prior file not found: {prior.split(':', 1)[1]}")
-    elif prior != "uniform":
+    if prior != "uniform" and not (isinstance(prior, str) and prior.startswith("from_file:")):
         problems.append(f"prior must be 'uniform' or 'from_file:<path>', got {prior!r}")
     pd = cfg.get("prior_descent")
     if pd is not None:
@@ -154,8 +151,6 @@ def validate_config(cfg: dict) -> list[str]:
             problems.append("eval_episodes must be an integer >= 1")
     if env == "taxi" and solver != "boltzmann_dqn":
         problems.append("env 'taxi' is only solvable with solver 'boltzmann_dqn'")
-    if cfg.get("taxi_map") and not os.path.exists(cfg["taxi_map"]):
-        problems.append(f"taxi map file not found: {cfg['taxi_map']}")
     if problems:
         return problems
     try:
@@ -171,21 +166,23 @@ def validate_config(cfg: dict) -> list[str]:
 def _build_env(cfg: dict):
     env = cfg["env"]
     if env == "taxi":
-        if cfg.get("taxi_map"):
+        if not cfg.get("taxi_map"):
+            return make_taxi()
+        try:
             with open(cfg["taxi_map"]) as f:
-                return make_taxi(f.read())
-        return make_taxi()
+                text = f.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read taxi map {cfg['taxi_map']}: {exc}") from exc
+        return make_taxi(text)
     if env.startswith("custom:"):
         return load_custom_env(env.split(":", 1)[1])
     return BUILTIN_FACTORIES[env]()
 
 
 def _load_prior(cfg: dict, env) -> Policy | np.ndarray | None:
-    """The configured prior, or None for uniform.
-
-    A tabular game takes a (T, S, A) policy, a sampled one (taxi) a single
-    action distribution; a file that does not fit is a ConfigError.
-    """
+    """The configured prior, or None for uniform: the file's array, as a
+    ``Policy`` on a tabular game, refused here as ``solvers.resolve_prior``
+    would refuse it."""
     prior = cfg.get("prior", "uniform")
     if prior == "uniform":
         return None
@@ -196,22 +193,11 @@ def _load_prior(cfg: dict, env) -> Policy | np.ndarray | None:
         else:
             with open(path) as f:
                 arr = np.asarray(json.load(f), dtype=np.float64)
+        loaded = Policy(arr) if isinstance(env, EnvironmentSpec) else arr
+        resolve_prior(env, loaded)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read prior file {path}: {exc}") from exc
-    tabular = isinstance(env, EnvironmentSpec)
-    shape = (
-        (env.horizon, env.num_states, env.num_actions) if tabular else (env.num_actions,)
-    )
-    if arr.shape != shape:
-        raise ConfigError(
-            f"prior in {path} has shape {arr.shape}, env {env.name!r} needs {shape}"
-        )
-    if not np.all(arr > 0.0):
-        raise ConfigError(f"prior in {path} must be strictly positive")
-    try:
-        return Policy(arr) if tabular else as_distribution(arr, what="prior")
-    except ValueError as exc:
-        raise ConfigError(f"prior in {path}: {exc}") from exc
+        raise ConfigError(f"prior file {path}: {exc}") from exc
+    return loaded
 
 
 def _etas(cfg: dict) -> list[float | None]:
@@ -365,6 +351,8 @@ def run(config_path: str, output_dir: str | None = None, workers: int | None = N
     # its part of them.
     table_threads = max(1, _process_cpus() // workers)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # unused by a one-process run
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_set_table_threads, initargs=(table_threads,)
         ) as pool:

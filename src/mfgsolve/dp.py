@@ -2,15 +2,16 @@
 mean field, on dense (T, S, A) tables; everything here is pure.  Action
 values are plain float64 (T, S, A) arrays.
 
-A flow's MDP is its rewards and kernels at every time step, ``FlowTables``.
-``flow_tables`` builds them with one stacked table call each over the whole
-flow, and each recursion over a frozen flow calls it unless the caller passes
-the tables in.  There is one backward recursion, ``backward_sweep``, over a
+A flow's MDP is its rewards and kernels at every time step, ``FlowTables``,
+which carry the flow they were built at.  ``flow_tables`` builds them with
+one stacked table call each over the whole flow.  There is one backward
+recursion, ``backward_sweep``, which takes a flow's tables and runs over a
 stack of value columns that differ only in how they value the next time
 slice: the hard max, a policy-weighted sum, a smooth max with a prior.  One
 sweep gives several of them on one flow (a best response and a policy
 evaluation, say) with one kernel product per step; ``optimal_q``,
-``policy_q`` and ``soft_q`` are its one-column calls.  There is one forward
+``policy_q`` and ``soft_q`` are its one-column calls, which take ``(env,
+mu)`` and build the flow's tables themselves.  There is one forward
 pass, ``induced_mean_field``, and one rule that turns action values into
 policy rows, ``policy_rows``: greedy on the first optimal action without a
 temperature, else ``softmax(logits + q / eta)`` with the prior's logits.
@@ -89,29 +90,17 @@ def flow_tables(env: EnvironmentSpec, mu: MeanField) -> FlowTables:
     )
 
 
-def _tables_of(
-    env: EnvironmentSpec, mu: MeanField, tables: FlowTables | None
-) -> FlowTables:
-    """``tables`` checked against ``env`` and ``mu``, or built if None."""
-    if tables is None:
-        return flow_tables(env, mu)
-    check_tabular(env)
-    check_meanfield(env, mu)
-    if tables.mu is not mu:
-        raise ValueError("tables were built for a different mean field")
-    return tables
-
-
 def backward_sweep(
-    env: EnvironmentSpec, mu: MeanField, hard: bool = False, pi: Policy | None = None,
-    soft: tuple[float, Policy] | None = None, tables: FlowTables | None = None,
+    env: EnvironmentSpec, tables: FlowTables, hard: bool = False,
+    pi: Policy | None = None, soft: tuple[float, Policy] | None = None,
 ) -> list[np.ndarray]:
-    """The one backward recursion under a frozen flow, over a stack of value
-    columns: the optimal Q if ``hard``, the Q of ``pi``, and the
-    entropy-regularized Q of ``soft = (eta, prior)``, in that order, each a
-    read-only (T, S, A) view of the one array the sweep fills.  The
-    prior may hold zeros (a softmax policy that underflowed, say): its rows
-    are distributions, so the smooth max runs over their support.
+    """The one backward recursion in the MDP of a frozen flow, given as its
+    ``tables``, over a stack of value columns: the optimal Q if ``hard``,
+    the Q of ``pi``, and the entropy-regularized Q of ``soft = (eta,
+    prior)``, in that order, each a read-only (T, S, A) view of the one
+    array the sweep fills.  The prior may hold zeros (a softmax policy that
+    underflowed, say): its rows are distributions, so the smooth max runs
+    over their support.
 
     Each column is ``Q[T-1] = R[T-1]``, ``Q[t] = R[t] + P[t] @ v``, where
     ``v`` is the next slice's hard max, ``pi``-weighted sum or smooth max
@@ -120,8 +109,7 @@ def backward_sweep(
     column and the shift, one weighted sum the policy column and the
     prior-weighted exponentials, one kernel product every column.  Each row
     takes the operations it takes alone (a stacked ``P[t] @ V`` would not),
-    so a column is the same bit for bit in any stack.  ``tables``, if
-    given, must be ``flow_tables(env, mu)`` for this very ``mu``.
+    so a column is the same bit for bit in any stack.
     """
     weights, eta = [], None
     if pi is not None:
@@ -132,8 +120,7 @@ def backward_sweep(
         check_policy(env, prior)
         weights.append(prior.per_time_state)
         eta = check_temperature(eta)
-    tabs = _tables_of(env, mu, tables)
-    rewards, kernels = tabs.rewards, tabs.kernels
+    rewards, kernels = tables.rewards, tables.kernels
     h, smooth = int(hard), eta is not None
     n = len(weights) - smooth  # policy columns
     w = np.stack(weights, axis=1) if weights else None
@@ -160,29 +147,22 @@ def backward_sweep(
     return [q[:, c] for c in range(m)]
 
 
-def optimal_q(
-    env: EnvironmentSpec, mu: MeanField, tables: FlowTables | None = None
-) -> np.ndarray:
+def optimal_q(env: EnvironmentSpec, mu: MeanField) -> np.ndarray:
     """Optimal action values under a frozen flow: the hard-maximum column of
-    ``backward_sweep``; ``tables`` as there."""
-    return backward_sweep(env, mu, hard=True, tables=tables)[0]
+    ``backward_sweep`` over the flow's tables."""
+    return backward_sweep(env, flow_tables(env, mu), hard=True)[0]
 
 
-def soft_q(
-    env: EnvironmentSpec, mu: MeanField, eta: float, prior: Policy,
-    tables: FlowTables | None = None,
-) -> np.ndarray:
+def soft_q(env: EnvironmentSpec, mu: MeanField, eta: float, prior: Policy) -> np.ndarray:
     """Entropy-regularized action values (smooth maximum with a positive
-    prior): the soft column of ``backward_sweep``; ``tables`` as there."""
-    return backward_sweep(env, mu, soft=(eta, prior.require_positive()), tables=tables)[0]
+    prior): the soft column of ``backward_sweep`` over the flow's tables."""
+    return backward_sweep(env, flow_tables(env, mu), soft=(eta, prior.require_positive()))[0]
 
 
-def policy_q(
-    env: EnvironmentSpec, mu: MeanField, pi: Policy, tables: FlowTables | None = None
-) -> np.ndarray:
+def policy_q(env: EnvironmentSpec, mu: MeanField, pi: Policy) -> np.ndarray:
     """Policy-evaluation table: the policy-weighted column of
-    ``backward_sweep``; ``tables`` as there."""
-    return backward_sweep(env, mu, pi=pi, tables=tables)[0]
+    ``backward_sweep`` over the flow's tables."""
+    return backward_sweep(env, flow_tables(env, mu), pi=pi)[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -248,12 +228,9 @@ def induced_mean_field(env: EnvironmentSpec, pi: Policy) -> MeanField:
     return MeanField(mu)
 
 
-def objective_value(
-    env: EnvironmentSpec, mu: MeanField, pi: Policy, tables: FlowTables | None = None
-) -> float:
-    """Expected total reward of the policy in the frozen-flow MDP.
-    ``tables`` as in ``backward_sweep``."""
-    return start_value(env, pi, policy_q(env, mu, pi, tables=tables))
+def objective_value(env: EnvironmentSpec, mu: MeanField, pi: Policy) -> float:
+    """Expected total reward of the policy in the frozen-flow MDP."""
+    return start_value(env, pi, policy_q(env, mu, pi))
 
 
 def start_value(env: EnvironmentSpec, pi: Policy, qpi: np.ndarray) -> float:
@@ -280,8 +257,8 @@ def regularized_objective(
     p = pi.per_time_state
     log_ratio = np.log(np.where(p > 0.0, p, 1.0)) - np.log(prior.per_time_state)
     kl = np.sum(np.where(p > 0.0, p * log_ratio, 0.0), axis=2, keepdims=True)
-    rewards = tabs.rewards - eta * kl
-    return objective_value(env, mu, pi, tables=FlowTables(mu, rewards, tabs.kernels))
+    adjusted = FlowTables(mu, tabs.rewards - eta * kl, tabs.kernels)
+    return start_value(env, pi, backward_sweep(env, adjusted, pi=pi)[0])
 
 
 def contractivity_threshold(

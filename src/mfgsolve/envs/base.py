@@ -43,8 +43,10 @@ class EnvironmentSpec:
 
     ``num_states`` and ``num_actions`` are read off ``reward_base``; an absent
     coefficient stays None (constant kernels and mu-free rewards), so nothing
-    multiplies zeros.  Immutable and shareable; ``validate_dynamics`` checks
-    that the kernel is a distribution at every ``mu``.
+    multiplies zeros.  The arrays are stored C-contiguous, so a game's table
+    bits do not depend on the layout its arrays came in (a pickled copy
+    builds the same tables).  Immutable and shareable; ``validate_dynamics``
+    checks that the kernel is a distribution at every ``mu``.
     """
 
     name: str
@@ -75,7 +77,7 @@ class EnvironmentSpec:
             value = getattr(self, field_name)
             if value is None and field_name.endswith("_coef"):
                 continue
-            arr = np.asarray(value, dtype=np.float64)
+            arr = np.ascontiguousarray(value, dtype=np.float64)
             if arr.shape != shape:
                 raise DimensionError(
                     f"{field_name} has shape {arr.shape}, expected {shape}"

@@ -8,13 +8,14 @@ greedy rows in mode 'exact', where it is None) with the prior's logits,
 measure the policy's exploitability and simulate the next flow with
 particles.  It takes the tabular loops' ``SolverConfig``, so the skeleton's
 stopping rule, window and limit-cycle detection apply here as they do
-there.  On tabular environments the network is collapsed to a dense
-table so the policy and the exploitability stay exact; on sampled
-environments (taxi) both the policy and the evaluation are stochastic, and
-the stochastic exploitability's simulated flow and best-response network,
-trained on that very flow, become the next iteration's flow and network.  A
-sampled run of K iterations thus trains K + 1 networks and simulates K + 1
-flows.
+there, and the prior and its logits come from ``solvers.resolve_prior``,
+the one resolver for both kinds of game.  On tabular environments the
+network is collapsed to a dense table so the policy and the exploitability
+stay exact; on sampled environments (taxi) both the policy and the
+evaluation are stochastic, and the stochastic exploitability's simulated
+flow and best-response network, trained on that very flow, become the next
+iteration's flow and network.  A sampled run of K iterations thus trains
+K + 1 networks and simulates K + 1 flows.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from ..core import MeanField, Policy
 from ..envs.base import EnvironmentSpec
 from ..errors import ConfigError
 from ..exploitability import exploitability_exact, exploitability_stochastic
-from ..sim import FixedActionPolicy, ParticleConfig, seed_int, simulate_mean_field
-from ..solvers import IterationLog, SolverConfig, fixed_point_loop, tabular_prior
+from ..sim import ParticleConfig, seed_int, simulate_mean_field
+from ..solvers import IterationLog, SolverConfig, fixed_point_loop, resolve_prior
 from .dqn import DqnHyperparams, dqn_train
 from .policies import NetworkPolicy, network_q_table
 
@@ -47,9 +48,7 @@ def boltzmann_dqn_iteration(
 
     ``cfg`` is the tabular loops' config: ``mode`` 'exact' takes greedy
     policies over the network values, 'boltzmann' softmax ones at ``eta``.
-    Its ``prior`` is a tabular Policy for tabular environments or a single
-    positive (A,) action distribution for sampled ones (default uniform in
-    both cases); any other is refused with a ``ConfigError`` before any work.
+    Its ``prior`` is resolved by ``solvers.resolve_prior`` before any work.
 
     Only the plain Bellman recursion with softmax policies is offered here,
     not the entropy-regularized ('relent') value fitting: exponentiating
@@ -67,18 +66,7 @@ def boltzmann_dqn_iteration(
     tabular = isinstance(env, EnvironmentSpec)
     init_ss, *iter_ss = np.random.SeedSequence(seed).spawn(1 + cfg.max_iterations)
 
-    if tabular:
-        start_policy = tabular_prior(env, cfg.prior)
-        logits = np.log(start_policy.require_positive().per_time_state)
-    else:
-        try:
-            start_policy = FixedActionPolicy(env.num_actions, cfg.prior)
-        except ConfigError as exc:
-            raise ConfigError(f"a sampled game's prior: {exc}") from exc
-        prior = start_policy.probs
-        if not np.all(prior > 0.0):
-            raise ConfigError(f"a sampled game's prior must be positive, got {prior!r}")
-        logits = np.log(prior)
+    start_policy, logits = resolve_prior(env, cfg.prior)
 
     trained = None  # (flow, the network trained on it)
 

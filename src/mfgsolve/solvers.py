@@ -7,7 +7,9 @@ and the trailing flows, averages flows for fictitious play, stops on
 ``convergence_tol`` and detects limit cycles.  The tabular step takes a greedy
 policy (exact fixed-point iteration) or a softmax one at a fixed temperature
 (over plain or entropy-regularized action values), optionally averaged with
-the previous policies; ``rl.loop`` supplies the learned step.  The skeleton
+the previous policies; ``rl.loop`` supplies the learned step.  Both steps
+take their prior and its logits from ``resolve_prior``, the one place that
+decides what a valid prior is on a tabular or a sampled game.  The skeleton
 runs in phases, one per temperature: prior descent is a softmax run whose
 phases move the prior, carried as logits, to the last phase's policy while
 the temperature grows geometrically.
@@ -40,6 +42,7 @@ from .core import (
 from .envs.base import EnvironmentSpec
 from .errors import ConfigError, check_number
 from .exploitability import ExploitabilityReport, exact_report
+from .sim import FixedActionPolicy
 
 MODES = ("exact", "boltzmann", "relent")
 CYCLE_TOL = 1e-9
@@ -62,7 +65,7 @@ class SolverConfig:
     eta: float | None = None
     fp_average_policy: bool = False
     fp_average_meanfield: bool = False
-    prior: Policy | np.ndarray | None = None  # an action distribution on a sampled game
+    prior: Policy | np.ndarray | None = None  # uniform if None; see resolve_prior
     convergence_tol: float = 0.0
     window: int = 10
     initial_mean_field: MeanField | None = None
@@ -240,20 +243,37 @@ def fixed_point_loop(
     )
 
 
-def tabular_prior(env: EnvironmentSpec, prior) -> Policy:
-    """The prior of a run on a tabular game: ``prior``, or the uniform policy
-    where it is None; anything but a (T, S, A) ``Policy`` of the game is a
-    ``ConfigError``."""
-    shape = (env.horizon, env.num_states, env.num_actions)
+def resolve_prior(env, prior) -> tuple[Policy | FixedActionPolicy, np.ndarray]:
+    """The prior of a run on ``env`` and ``np.log`` of its probabilities.
+
+    On a tabular game the prior is a (T, S, A) ``Policy`` of the game, on a
+    sampled one (taxi) an (A,) action distribution, held as a
+    ``FixedActionPolicy``; None is the uniform prior on either.  Anything
+    else, or an entry that is not finite and positive, is a ``ConfigError``
+    naming the prior."""
+    tabular = isinstance(env, EnvironmentSpec)
+    shape = (env.horizon, env.num_states, env.num_actions) if tabular else (env.num_actions,)
     if prior is None:
-        return Policy.uniform(*shape)
-    if not isinstance(prior, Policy) or prior.per_time_state.shape != shape:
-        got = prior.per_time_state.shape if isinstance(prior, Policy) else np.shape(prior)
+        prior = Policy.uniform(*shape) if tabular else np.full(shape, 1.0 / env.num_actions)
+    probs = None
+    if isinstance(prior, Policy) == tabular:  # a Policy only on a tabular game
+        try:
+            probs = prior.per_time_state if tabular else np.asarray(prior, dtype=np.float64)
+        except (TypeError, ValueError):
+            pass
+    if probs is None or probs.shape != shape:
         raise ConfigError(
-            f"the prior on {env.name!r} must be a Policy of shape {shape}, "
-            f"got {type(prior).__name__} of shape {got}"
+            f"the prior on {env.name!r} needs {shape} as "
+            f"{'a Policy' if tabular else 'an action distribution'}, got "
+            f"{type(prior).__name__}" + ("" if probs is None else f" of shape {probs.shape}")
         )
-    return prior
+    if not np.all((0.0 < probs) & (probs < np.inf)):
+        raise ConfigError(f"the prior on {env.name!r} needs finite, strictly positive entries")
+    try:
+        policy = prior if tabular else FixedActionPolicy(env.num_actions, probs)
+    except ConfigError as exc:
+        raise ConfigError(f"the prior on {env.name!r}: {exc}") from exc
+    return policy, np.log(probs)
 
 
 def _iterate(
@@ -273,8 +293,7 @@ def _iterate(
     prior becomes the last policy.  The new phase starts on that policy's
     induced flow, so its tables stay, and in boltzmann mode its Q too."""
     dp.check_tabular(env)
-    prior = tabular_prior(env, cfg.prior).require_positive()
-    logits = np.log(prior.per_time_state)
+    prior, logits = resolve_prior(env, cfg.prior)
     relent = cfg.mode == "relent"
     tables = q = z = None  # the last induced flow's tables, the policy step's Q, the last sum
 
@@ -292,7 +311,7 @@ def _iterate(
             tables = dp.flow_tables(env, mu)
         soft = (eta, prior) if relent else None
         if q is None:
-            q = dp.backward_sweep(env, mu, hard=not relent, soft=soft, tables=tables)[0]
+            q = dp.backward_sweep(env, tables, hard=not relent, soft=soft)[0]
         if cfg.mode == "exact":
             pi_new = dp.greedy_policy(q)
         else:
@@ -302,9 +321,7 @@ def _iterate(
             pi_new = mix(pi_new, pi, 1.0 / (k + 1))
         tables = q = None  # one flow's tables alive at a time
         tables = dp.flow_tables(env, dp.induced_mean_field(env, pi_new))
-        qstar, qpi, *qsoft = dp.backward_sweep(
-            env, tables.mu, hard=True, pi=pi_new, soft=soft, tables=tables
-        )
+        qstar, qpi, *qsoft = dp.backward_sweep(env, tables, hard=True, pi=pi_new, soft=soft)
         q = qsoft[0] if relent else qstar
         return pi_new, exact_report(env, pi_new, qstar, qpi), tables.mu
 

@@ -162,6 +162,8 @@ MISCONFIGURED = {
     ),
     "taxi_prior_with_zero": (SMALL_TAXI, [0.0, 0.25, 0.25, 0.25, 0.25], "strictly positive"),
     "taxi_zero_eval_episodes": ({**SMALL_TAXI, "eval_episodes": 0}, None, "eval_episodes"),
+    # Reading a directory used to be a runtime failure (exit 2).
+    "taxi_map_directory": ({**SMALL_TAXI, "taxi_map": REPO}, None, "taxi map"),
     "unknown_top_level_key": ({"iteration": 5}, None, "'iteration'"),
     "prior_descent_eta0": (
         {"prior_descent": {**PRIOR_DESCENT, "eta0": 2.0}}, None, "'eta0'"

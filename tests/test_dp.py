@@ -452,7 +452,7 @@ class TestFlowTables:
         tabs = dp.flow_tables(env, dp.induced_mean_field(env, uniform(env)))
         assert tabs.kernels.shape == (0, 3, 2, 3)
         np.testing.assert_allclose(
-            dp.optimal_q(env, tabs.mu, tables=tabs)[0], tabs.rewards[0]
+            dp.backward_sweep(env, tabs, hard=True)[0][0], tabs.rewards[0]
         )
 
 
@@ -464,14 +464,14 @@ class TestOneBackwardRecursion:
         tabs = dp.flow_tables(env, mu)
         shape = (env.horizon, env.num_states, env.num_actions)
         np.testing.assert_array_equal(
-            dp.optimal_q(env, mu, tables=tabs), loop_optimal_q(tabs, *shape)
+            dp.optimal_q(env, mu), loop_optimal_q(tabs, *shape)
         )
         np.testing.assert_array_equal(
-            dp.soft_q(env, mu, eta, prior, tables=tabs),
+            dp.soft_q(env, mu, eta, prior),
             loop_soft_q(tabs, *shape, eta, prior),
         )
         np.testing.assert_array_equal(
-            dp.policy_q(env, mu, pi, tables=tabs), loop_policy_q(tabs, *shape, pi)
+            dp.policy_q(env, mu, pi), loop_policy_q(tabs, *shape, pi)
         )
 
     @settings(max_examples=100, deadline=None)
@@ -481,13 +481,6 @@ class TestOneBackwardRecursion:
         want = loop_regularized_objective(env, dp.flow_tables(env, mu), pi, eta, prior)
         got = dp.regularized_objective(env, mu, pi, eta, prior)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-    def test_rejects_tables_of_another_flow(self):
-        rng = np.random.default_rng(16)
-        env = random_affine_env(rng, 3, 2, 2)
-        tabs = dp.flow_tables(env, random_mean_field(rng, env))
-        with pytest.raises(ValueError, match="different mean field"):
-            dp.optimal_q(env, random_mean_field(rng, env), tables=tabs)
 
 
 class TestStackedColumns:
@@ -509,9 +502,9 @@ class TestStackedColumns:
     def test_columns_equal_the_one_column_sweeps(self, game, eta):
         env, mu, pi, prior = draw_game(game)
         tabs = dp.flow_tables(env, mu)
-        hard = dp.optimal_q(env, mu, tables=tabs)
-        weighted = dp.policy_q(env, mu, pi, tables=tabs)
-        smooth = dp.soft_q(env, mu, eta, prior, tables=tabs)
+        hard = dp.optimal_q(env, mu)
+        weighted = dp.policy_q(env, mu, pi)
+        smooth = dp.soft_q(env, mu, eta, prior)
         stacks = [
             ((hard, weighted, smooth), dict(hard=True, pi=pi, soft=(eta, prior))),
             ((hard, weighted), dict(hard=True, pi=pi)),
@@ -519,7 +512,7 @@ class TestStackedColumns:
             ((weighted, smooth), dict(pi=pi, soft=(eta, prior))),
         ]
         for want, columns in stacks:
-            got = dp.backward_sweep(env, mu, tables=tabs, **columns)
+            got = dp.backward_sweep(env, tabs, **columns)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
@@ -544,9 +537,8 @@ class TestDpProperties:
     @given(game=games, eta=temperatures)
     def test_soft_q_within_entropy_bound_of_optimal_q(self, game, eta):
         env, mu, _, _ = draw_game(game)
-        tabs = dp.flow_tables(env, mu)
-        qstar = dp.optimal_q(env, mu, tables=tabs)
-        qs = dp.soft_q(env, mu, eta, uniform(env), tables=tabs)
+        qstar = dp.optimal_q(env, mu)
+        qs = dp.soft_q(env, mu, eta, uniform(env))
         slack = 1e-9 * (1.0 + np.abs(qstar))
         assert np.all(qs <= qstar + slack)
         bound = eta * env.horizon * np.log(env.num_actions)
@@ -556,10 +548,9 @@ class TestDpProperties:
     @given(game=games, etas=st.lists(temperatures, min_size=2, max_size=4, unique=True))
     def test_soft_q_decreases_in_eta(self, game, etas):
         env, mu, _, prior = draw_game(game)
-        tabs = dp.flow_tables(env, mu)
         prev = None
         for eta in sorted(etas):
-            qs = dp.soft_q(env, mu, eta, prior, tables=tabs)
+            qs = dp.soft_q(env, mu, eta, prior)
             if prev is not None:
                 assert np.all(qs <= prev + 1e-9 * (1.0 + np.abs(prev)))
             prev = qs

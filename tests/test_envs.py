@@ -2,6 +2,7 @@ import functools
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -274,6 +275,17 @@ class TestAffineTables:
         with pytest.raises(ValueError, match="negative mass"):
             replace(env, transition_mu_coef=coef).validate_dynamics()
 
+    def test_pickled_copy_builds_the_same_tables(self):
+        # The kernel coefficient of random_affine_env comes as a transposed
+        # view; stored in that layout, its tables differed in the last bit
+        # from those of a pickled (C-contiguous) copy of the same game.
+        rng = np.random.default_rng(0)
+        env = random_affine_env(rng, 50, 5, 4)
+        copy = pickle.loads(pickle.dumps(env))
+        for mu in (rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5), size=50)):
+            np.testing.assert_array_equal(copy.transition_table(mu), env.transition_table(mu))
+            np.testing.assert_array_equal(copy.reward_table(mu), env.reward_table(mu))
+
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -481,12 +493,13 @@ class TestSplitTables:
             np.testing.assert_array_equal(g, w)
 
     def test_nothing_starts_before_the_first_large_build(self):
-        # Importing the package and building small tables start no pool,
-        # import no executor and ask for no CPU count.
+        # Importing the package and its command line and building small
+        # tables start no pool, import no executor and ask for no CPU count.
         code = """
 import sys
 import numpy as np
 import mfgsolve
+import mfgsolve.cli
 from mfgsolve.envs import base
 for make in (mfgsolve.make_sis, mfgsolve.make_rps):
     env = make()
