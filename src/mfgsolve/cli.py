@@ -6,6 +6,10 @@ summary CSV aggregates trailing-window exploitability statistics per
 temperature, and a manifest records the fully resolved configuration so a
 run can be reproduced from its own output directory.
 
+``validate`` and ``run`` share one plan: the game and the prior are read
+once, and every cell is built once from them, unrun; ``run`` runs those
+cells in process or sends them, built, to its ``--workers`` pool.
+
 Verbs: ``run``, ``validate``, ``list-envs``.  Exit codes: 0 ok, 1 config
 error, 2 runtime failure.  ``MFGSOLVE_OUTPUT_DIR`` overrides the configured
 output directory.
@@ -14,9 +18,9 @@ output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
-import math
 import os
 import platform
 import sys
@@ -30,7 +34,7 @@ from . import __version__
 from .core import Policy
 from .envs import BUILTIN_FACTORIES, EnvironmentSpec, load_custom_env, make_taxi
 from .envs.base import _process_cpus, _set_table_threads
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 from .rl.dqn import DqnHyperparams
 from .rl.loop import boltzmann_dqn_iteration
 from .sim import ParticleConfig
@@ -93,17 +97,20 @@ def load_config(path: str) -> dict:
     return resolve_config(doc)
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 1
+def _check(problems: list[str], what: str, value, low: float, **kw) -> bool:
+    """``errors.check_number``, a refusal appended to ``problems``."""
+    try:
+        check_number(what, value, low, **kw)
+    except ConfigError as exc:
+        problems.append(str(exc))
+        return False
+    return True
 
 
-def _is_nonnegative_real(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value) and value >= 0
-
-
-def validate_config(cfg: dict) -> list[str]:
-    """Structural checks, then every cell built as ``run`` builds it (but
-    not run); returns a list of problems (empty = ok)."""
+def _plan(cfg: dict) -> tuple[list[str], dict[tuple, Callable[[], IterationLog]]]:
+    """The sweep, checked and built once: ``(problems, cells)``, where
+    ``cells`` maps each (eta, seed) to its cell, unrun, all on one game and
+    one prior, and is empty unless ``problems`` is."""
     problems = []
     for key in sorted(set(cfg) - set(DEFAULTS) - REQUIRED):
         problems.append(f"unknown config key: {key!r}")
@@ -121,8 +128,10 @@ def validate_config(cfg: dict) -> list[str]:
     if solver != "exact":
         if not eta_grid or not isinstance(eta_grid, list):
             problems.append("eta_grid must be a nonempty list unless solver='exact'")
-        elif not all(_is_nonnegative_real(x) for x in eta_grid):
-            problems.append("eta_grid entries must be finite nonnegative reals")
+        else:
+            checks = [_check(problems, f"eta_grid[{i}]", x, 0) for i, x in enumerate(eta_grid)]
+            if all(checks) and len(set(eta_grid)) < len(eta_grid):
+                problems.append(f"eta_grid entries must be distinct, got {eta_grid}")
     seeds = cfg.get("seeds")
     if (
         not seeds
@@ -130,9 +139,10 @@ def validate_config(cfg: dict) -> list[str]:
         or any(type(s) is not int or s < 0 for s in seeds)
     ):
         problems.append("seeds must be a nonempty list of nonnegative integers")
+    elif len(set(seeds)) < len(seeds):
+        problems.append(f"seeds must be distinct, got {seeds}")
     for key in ("iterations", "workers"):
-        if not _is_count(cfg.get(key, 1)):
-            problems.append(f"{key} must be an integer >= 1")
+        _check(problems, key, cfg.get(key, 1), 1, integer=True)
     prior = cfg.get("prior", "uniform")
     if prior != "uniform" and not (isinstance(prior, str) and prior.startswith("from_file:")):
         problems.append(f"prior must be 'uniform' or 'from_file:<path>', got {prior!r}")
@@ -147,20 +157,27 @@ def validate_config(cfg: dict) -> list[str]:
         for key in ("fp_policy", "fp_meanfield", "prior_descent"):
             if cfg.get(key):
                 problems.append(f"{key} is not supported with solver 'boltzmann_dqn'")
-        if not _is_count(cfg.get("eval_episodes", 1)):
-            problems.append("eval_episodes must be an integer >= 1")
+        _check(problems, "eval_episodes", cfg.get("eval_episodes", 1), 1, integer=True)
     if env == "taxi" and solver != "boltzmann_dqn":
         problems.append("env 'taxi' is only solvable with solver 'boltzmann_dqn'")
     if problems:
-        return problems
+        return problems, {}
     try:
-        built = _build_env(cfg)
-        for eta in _etas(cfg):
-            for seed in seeds:
-                _cell(cfg, built, eta, seed)
+        game = _build_env(cfg)
+        prior = _load_prior(cfg, game)
+        etas = [None] if solver == "exact" else eta_grid
+        cells = {
+            (eta, seed): _cell(cfg, game, prior, eta, seed) for eta in etas for seed in seeds
+        }
     except (ConfigError, TypeError, ValueError) as exc:
-        problems.append(str(exc))
-    return problems
+        return [str(exc)], {}
+    return [], cells
+
+
+def validate_config(cfg: dict) -> list[str]:
+    """The problems (empty = ok) of the sweep that ``run`` runs: structural
+    checks, then every cell built, but not run."""
+    return _plan(cfg)[0]
 
 
 def _build_env(cfg: dict):
@@ -200,13 +217,9 @@ def _load_prior(cfg: dict, env) -> Policy | np.ndarray | None:
     return loaded
 
 
-def _etas(cfg: dict) -> list[float | None]:
-    return [None] if cfg["solver"] == "exact" else list(cfg["eta_grid"])
-
-
-def _cell(cfg: dict, env, eta: float | None, seed: int) -> Callable[[], IterationLog]:
-    """One sweep cell with its prior loaded and every config object built,
-    returned unrun; a config mistake raises here, before any work."""
+def _cell(cfg: dict, env, prior, eta: float | None, seed: int) -> Callable[[], IterationLog]:
+    """One sweep cell with every config object built, returned unrun; a
+    config mistake raises here, before any work."""
     solver = mode = cfg["solver"]
     if solver == "boltzmann_dqn":  # a grid entry of 0 is the greedy run
         mode, eta = ("boltzmann", eta) if eta else ("exact", None)
@@ -217,7 +230,7 @@ def _cell(cfg: dict, env, eta: float | None, seed: int) -> Callable[[], Iteratio
         eta=eta,
         fp_average_policy=cfg["fp_policy"],
         fp_average_meanfield=cfg["fp_meanfield"],
-        prior=_load_prior(cfg, env),
+        prior=prior,
         convergence_tol=cfg["convergence_tol"],
         window=cfg["window"],
     )
@@ -237,8 +250,12 @@ def _cell(cfg: dict, env, eta: float | None, seed: int) -> Callable[[], Iteratio
 
 
 def run_cell(cfg: dict, eta: float | None, seed: int) -> IterationLog:
-    """Execute one sweep cell; deterministic given (cfg, eta, seed)."""
-    return _cell(cfg, _build_env(cfg), eta, seed)()
+    """Execute one cell of the planned sweep; deterministic given (cfg, eta,
+    seed).  The plan's problems are raised as one ``ConfigError``."""
+    problems, cells = _plan(cfg)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return cells[(eta, seed)]()
 
 
 def _write_cell_csv(path: str, log: IterationLog) -> None:
@@ -259,9 +276,8 @@ def _write_cell_csv(path: str, log: IterationLog) -> None:
             )
 
 
-def _cell_worker(args):
-    cfg, eta, seed = args
-    log = run_cell(cfg, eta, seed)
+def _run_cell(cell: Callable[[], IterationLog]) -> tuple[dict, IterationLog]:
+    log = cell()
     stats = log.trailing_stats()
     stats.update(converged=log.converged, limit_cycle_period=log.limit_cycle_period)
     return stats, log
@@ -316,71 +332,53 @@ def _env_tag(cfg: dict) -> str:
 
 def run(config_path: str, output_dir: str | None = None, workers: int | None = None) -> int:
     cfg = load_config(config_path)
-    problems = validate_config(cfg)
-    if workers is not None and not _is_count(workers):
-        problems.append(f"--workers must be an integer >= 1, got {workers!r}")
+    problems, cells = _plan(cfg)
+    if workers is not None:
+        _check(problems, "--workers", workers, 1, integer=True)
     if problems:
         for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         return 1
-    out = (
-        output_dir
-        or os.environ.get("MFGSOLVE_OUTPUT_DIR")
-        or cfg["output_dir"]
-    )
+    out = output_dir or os.environ.get("MFGSOLVE_OUTPUT_DIR") or cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
     workers = workers or cfg.get("workers", 1)
-    etas = _etas(cfg)
-    cells = [(eta, seed) for eta in etas for seed in cfg["seeds"]]
     results: dict[tuple, dict] = {}
     failures: list[dict] = []
-
-    def handle(eta, seed, outcome, err=None):
-        label = "0" if eta is None else f"{eta:g}"
-        name = f"{_env_tag(cfg)}_{cfg['solver']}_eta{label}_seed{seed}.csv"
-        if err is not None:
-            failures.append({"eta": eta, "seed": seed, "error": str(err)})
-            print(f"cell eta={label} seed={seed} failed: {err}", file=sys.stderr)
-            return
-        stats, log = outcome
-        _write_cell_csv(os.path.join(out, name), log)
-        stats["csv"] = name
-        results[(eta, seed)] = stats
-
     # Worker processes share the CPUs: each one's large table builds get
     # its part of them.
     table_threads = max(1, _process_cpus() // workers)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # unused by a one-process run
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # unused by a one-process run
 
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_set_table_threads, initargs=(table_threads,)
-        ) as pool:
-            futures = [
-                (eta, seed, pool.submit(_cell_worker, (cfg, eta, seed)))
-                for eta, seed in cells
-            ]
-            for eta, seed, fut in futures:
-                try:
-                    handle(eta, seed, fut.result())
-                except Exception as exc:  # cell failures recorded, sweep continues
-                    handle(eta, seed, None, err=exc)
-    else:
-        for eta, seed in cells:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(
+                    max_workers=workers, initializer=_set_table_threads, initargs=(table_threads,)
+                )
+            )
+            jobs = {key: pool.submit(_run_cell, cell).result for key, cell in cells.items()}
+        else:
+            jobs = {key: partial(_run_cell, cell) for key, cell in cells.items()}
+        for (eta, seed), job in jobs.items():
+            label = "0" if eta is None else f"{eta:g}"
+            name = f"{_env_tag(cfg)}_{cfg['solver']}_eta{label}_seed{seed}.csv"
             try:
-                handle(eta, seed, _cell_worker((cfg, eta, seed)))
-            except Exception as exc:
-                handle(eta, seed, None, err=exc)
+                stats, log = job()
+                _write_cell_csv(os.path.join(out, name), log)
+            except Exception as exc:  # cell failures recorded, sweep continues
+                failures.append({"eta": eta, "seed": seed, "error": str(exc)})
+                print(f"cell eta={label} seed={seed} failed: {exc}", file=sys.stderr)
+                continue
+            stats["csv"] = name
+            results[(eta, seed)] = stats
 
     with open(os.path.join(out, "summary.csv"), "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(
             ["eta", "trailing_mean", "trailing_min", "trailing_max", "converged_runs", "runs"]
         )
-        for eta in etas:
-            cell_stats = [results[(eta, s)] for s in cfg["seeds"] if (eta, s) in results]
-            if not cell_stats:
-                continue
+        for eta in dict.fromkeys(eta for eta, _ in results):
+            cell_stats = [stats for (e, _), stats in results.items() if e == eta]
             writer.writerow(
                 [
                     repr(0.0 if eta is None else float(eta)),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import SIMPLEX_ATOL, as_distribution, sample_rows
-from ..errors import ConfigError, DimensionError
+from ..errors import ConfigError, DimensionError, check_number
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ class EnvironmentSpec:
     action_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
+        check_number("horizon", self.horizon, 1, integer=True)
         rb = np.asarray(self.reward_base, dtype=np.float64)
         if rb.ndim != 2:
             raise DimensionError(f"reward base has shape {rb.shape}, expected (S, A)")
@@ -353,7 +352,7 @@ def load_custom_env(path: str) -> EnvironmentSpec:
         declared = (int(doc["num_states"]), int(doc["num_actions"]))
         env = EnvironmentSpec(
             name=doc.get("name", "custom"),
-            horizon=int(doc["horizon"]),
+            horizon=doc["horizon"],
             initial_dist=doc["initial_dist"],
             reward_base=reward["base"],
             transition_base=transition["base"],

@@ -135,3 +135,14 @@ BAD_CUSTOM_GAMES = {
         "transition": {"base": [[[1.0, 0.0]], [[0.0, 1.0]]]},
     },
 }
+# A horizon is an integer: 2.7 used to run with T = 2, and true with T = 1.
+for _name, _horizon in (("fractional_horizon", 2.7), ("bool_horizon", True)):
+    BAD_CUSTOM_GAMES[_name] = {
+        "name": _name,
+        "horizon": _horizon,
+        "num_states": 2,
+        "num_actions": 1,
+        "initial_dist": [1.0, 0.0],
+        "reward": {"base": [[0.0], [0.0]]},
+        "transition": {"base": [[[1.0, 0.0]], [[0.0, 1.0]]]},
+    }

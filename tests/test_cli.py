@@ -12,6 +12,7 @@ import pytest
 from conftest import BAD_CUSTOM_GAMES
 from mfgsolve import cli
 from mfgsolve.envs import make_lr
+from mfgsolve.errors import ConfigError
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -138,6 +139,18 @@ SMALL_RPS_DQN = {
     "dqn": {"epochs": 2, "hidden_width": 8},
 }
 PRIOR_DESCENT = {"outer": 2, "inner": 5, "c": 1.0}
+TWO_STATE = {
+    "name": "twostate",
+    "horizon": 3,
+    "num_states": 2,
+    "num_actions": 2,
+    "initial_dist": [1.0, 0.0],
+    "reward": {
+        "base": [[0.0, 0.0], [0.0, 0.0]],
+        "mu_coef": [[[-1.0, 0.0], [-1.0, 0.0]], [[0.0, -1.0], [0.0, -1.0]]],
+    },
+    "transition": {"base": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]},
+}
 
 # Mistakes that a solver, particle or DQN constructor, the prior loader or
 # the key check rejects; both verbs must exit 1 before any cell runs.
@@ -211,6 +224,10 @@ MISCONFIGURED = {
     "dqn_convergence_tol_bool": (
         {**SMALL_RPS_DQN, "convergence_tol": True}, None, "convergence_tol"
     ),
+    # A repeated entry used to run its cells twice and count them twice in
+    # the summary; 1 and 1.0 are one temperature.
+    "duplicate_eta": ({"eta_grid": [1, 1.0, 2.0]}, None, "eta_grid entries must be distinct"),
+    "duplicate_seed": ({"seeds": [0, 0]}, None, "seeds must be distinct"),
 }
 
 
@@ -229,6 +246,14 @@ class TestValidateBuildsEveryCell:
         assert cli.main(["run", str(cfg)]) == 1
         assert fragment in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
+
+    def test_run_cell_raises_the_plan_problems(self):
+        cfg = cli.resolve_config(
+            {"env": "toy_lr", "solver": "boltzmann", "eta_grid": [1.0, 1], "seeds": [0],
+             "iterations": 0}
+        )
+        with pytest.raises(ConfigError, match="distinct.*; iterations"):
+            cli.run_cell(cfg, 1.0, 0)
 
     @pytest.mark.parametrize(
         "path",
@@ -385,26 +410,35 @@ class TestRun:
         etas = {row[4] for row in rows[1:]}
         assert etas == {"1.0", "1.5"}
 
+    def test_each_file_is_read_once_per_sweep(self, tmp_path, monkeypatch):
+        # The game and the prior are loaded once, for validation and every
+        # cell alike.
+        calls = {"load_custom_env": 0, "_load_prior": 0}
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        env_path = tmp_path / "game.json"
+        env_path.write_text(json.dumps(TWO_STATE))
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps(np.full((3, 2, 2), 0.5).tolist()))
+        cfg = tmp_path / "cfg.json"
+        write_config(cfg, env=f"custom:{env_path}", prior=f"from_file:{prior}", iterations=3)
+        assert cli.run(str(cfg)) == 0
+        assert calls == {"load_custom_env": 1, "_load_prior": 1}
+        assert len(read_csv(tmp_path / "results" / "summary.csv")) == 3
+
     def test_custom_env_run(self, tmp_path):
-        env_doc = {
-            "name": "twostate",
-            "horizon": 3,
-            "num_states": 2,
-            "num_actions": 2,
-            "initial_dist": [1.0, 0.0],
-            "reward": {
-                "base": [[0.0, 0.0], [0.0, 0.0]],
-                "mu_coef": [[[-1.0, 0.0], [-1.0, 0.0]], [[0.0, -1.0], [0.0, -1.0]]],
-            },
-            "transition": {
-                "base": [
-                    [[1.0, 0.0], [0.0, 1.0]],
-                    [[1.0, 0.0], [0.0, 1.0]],
-                ]
-            },
-        }
         env_path = tmp_path / "twostate.json"
-        env_path.write_text(json.dumps(env_doc))
+        env_path.write_text(json.dumps(TWO_STATE))
         cfg = tmp_path / "cfg.json"
         write_config(cfg, env=f"custom:{env_path}", eta_grid=[0.5], seeds=[0], iterations=10)
         assert cli.main(["run", str(cfg)]) == 0

@@ -348,6 +348,14 @@ class TestCustomEnv:
         with pytest.raises(ConfigError):
             load_custom_env(str(path))
 
+    @pytest.mark.parametrize("horizon", [0, 2.5, True, np.float64(2.0)])
+    def test_horizon_is_an_integer_of_at_least_one(self, horizon):
+        # 2.5 used to be accepted here and fail later in the solver.
+        with pytest.raises(ConfigError, match="horizon"):
+            EnvironmentSpec(
+                "one", horizon, initial_dist=[1.0], reward_base=[[0.0]], transition_base=[[[1.0]]]
+            )
+
     def test_size_mismatch(self, tmp_path):
         doc = {
             "name": "bad",

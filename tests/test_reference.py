@@ -15,8 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-import mfgsolve
 from mfgsolve import cli
+from mfgsolve.envs import EnvironmentSpec
 from mfgsolve.solvers import SolverConfig, boltzmann_iteration
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -62,7 +62,7 @@ def test_shipped_sis_prior_descent():
 @pytest.mark.parametrize("game", range(BENCH.NUM_GAMES))
 def test_toy_affine_game(game):
     data = BENCH.affine.generate(game, TOY["states"], TOY["actions"])
-    env = mfgsolve.make_affine_env(name="affine", horizon=TOY["horizon"], **data)
+    env = EnvironmentSpec(name="affine", horizon=TOY["horizon"], **data)
     env.validate_dynamics()
     cfg = SolverConfig(max_iterations=TOY["iterations"], mode="boltzmann", eta=BENCH.AFFINE_ETA)
     log = boltzmann_iteration(env, cfg)
