@@ -11,10 +11,10 @@ once the buffer holds a full batch, the target network is synced on a fixed
 step period, and terminal transitions (the last step of the finite horizon)
 carry no bootstrap term.
 
-The replay buffer stores what the game cannot derive: each transition is
-``(t, code, action, reward, next_code)``.  A sampled batch's network inputs
-come from one ``observe_codes`` call over its states at ``t`` and its next
-states at ``t + 1``, and the acting state is observed only on greedy steps.
+The replay buffer stores what the game cannot derive, ``(t, code, action,
+reward, next_code)``, and each transition's target value from the first update
+that samples it until the slot is overwritten or the target network syncs: the
+target network sees each transition about once per sync, not once per draw.
 
 Training runs in float32: the network is cast once after initialisation and
 the target network is a copy of it.  Every feature (one-hot entries, flags,
@@ -53,7 +53,10 @@ class DqnHyperparams:
         for f in fields(self):  # all positive; integers where annotated int
             integer = f.type in (int, "int")
             check_number(f.name, getattr(self, f.name), 0, integer=integer, strict=True)
-        if self.epsilon_end > self.epsilon_start:
+        for name in ("discount", "epsilon_start", "epsilon_end_fraction"):
+            if getattr(self, name) > 1:
+                raise ValueError(f"{name} must not exceed 1, got {getattr(self, name)!r}")
+        if self.epsilon_end > self.epsilon_start:  # so epsilon_end <= 1 too
             raise ValueError("epsilon_end must not exceed epsilon_start")
 
 
@@ -68,15 +71,15 @@ def epsilon_at(step: int, total_steps: int, hp: DqnHyperparams) -> float:
 
 class ReplayBuffer:
     """Fixed-capacity FIFO store of transitions ``(t, code, action, reward,
-    next_code)`` with uniform sampling.  The game rebuilds a transition's
-    network inputs from its times and codes, and it is terminal when ``t``
-    is the last step of the horizon."""
+    next_code, target)`` with uniform sampling.  The game rebuilds network
+    inputs from times and codes; ``t`` at the horizon's end is terminal.
+    ``target`` is NaN until ``target_values`` sets it and after a sync."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.data = np.zeros(capacity, dtype=[
             ("t", np.int64), ("code", np.int64), ("action", np.int64),
-            ("reward", np.float64), ("next_code", np.int64),
+            ("reward", np.float64), ("next_code", np.int64), ("target", np.float32),
         ])
         self._added = 0
 
@@ -84,13 +87,23 @@ class ReplayBuffer:
         return min(self._added, self.capacity)
 
     def add(self, t: int, code: int, action: int, reward: float, next_code: int) -> None:
-        self.data[self._added % self.capacity] = (t, code, action, reward, next_code)
+        self.data[self._added % self.capacity] = (t, code, action, reward, next_code, np.nan)
         self._added += 1
 
     def sample(self, rng: np.random.Generator, batch_size: int):
-        """Times, codes, actions, rewards and next codes of a uniform batch."""
-        batch = self.data[rng.integers(len(self), size=batch_size)]
-        return tuple(batch[f] for f in batch.dtype.names)
+        """The fields of a uniform batch, ``t`` to ``target``, then its slots."""
+        slots = rng.integers(len(self), size=batch_size)
+        return (*(self.data[f][slots] for f in self.data.dtype.names), slots)
+
+    def target_values(self, slots: np.ndarray, net, env) -> np.ndarray:
+        """Target values ``max_a net(observe(t + 1, next_code))`` of ``slots``;
+        the unknown ones come from one forward over their distinct slots."""
+        targets = self.data["target"]
+        new = np.flatnonzero(np.bincount(slots[np.isnan(targets[slots])]))
+        if len(new):
+            obs = env.observe_codes(self.data["t"][new] + 1, self.data["next_code"][new])
+            targets[new] = net.forward(obs).max(axis=1)
+        return targets[slots]
 
 
 def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetwork:
@@ -121,13 +134,11 @@ def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetw
             nxt, reward = env.step_codes(rng, t, code, np.array([action]), mu.at(t))
             buffer.add(t, code[0], action, reward[0], nxt[0])
             if len(buffer) >= n:
-                ts, codes, actions, rewards, next_codes = buffer.sample(rng, n)
-                # Rows [0, n) are the states, rows [n, 2n) the next states.
-                obs = env.observe_codes(np.concatenate([ts, ts + 1]),
-                                        np.concatenate([codes, next_codes]))
-                bootstrap = target_net.forward(obs[n:]).max(axis=1)
+                ts, codes, actions, rewards, _, _, slots = buffer.sample(rng, n)
+                bootstrap = buffer.target_values(slots, target_net, env)
                 targets = rewards + hp.discount * bootstrap * (ts < last)
-                loss, _ = net.loss_and_grad(obs[:n], actions, targets, out=grads)
+                obs = env.observe_codes(ts, codes)
+                loss, _ = net.loss_and_grad(obs, actions, targets, out=grads)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at step {step} "
@@ -138,6 +149,7 @@ def dqn_train(env, mu: MeanField, hp: DqnHyperparams, seed: int) -> DuelingQNetw
             step += 1
             if step % hp.target_update_every == 0:
                 np.copyto(target_net.flat, net.flat)
+                buffer.data["target"] = np.nan
             code = nxt
     if not np.isfinite(net.flat).all():
         raise TrainingDivergedError(f"non-finite parameters after {step} steps")

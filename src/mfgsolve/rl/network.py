@@ -76,8 +76,7 @@ class DuelingQNetwork:
         return self.flat.dtype
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
-        q, _ = self._forward_cached(np.asarray(obs, dtype=self.dtype))
-        return q
+        return self._forward_cached(np.asarray(obs, dtype=self.dtype))[0]
 
     def _forward_cached(self, obs: np.ndarray):
         p = self.params
@@ -86,7 +85,7 @@ class DuelingQNetwork:
         value = hv @ p["value_w2"] + p["value_b2"]
         ha = np.maximum(h @ p["adv_w1"] + p["adv_b1"], 0.0)
         adv = ha @ p["adv_w2"] + p["adv_b2"]
-        q = value + adv - adv.mean(axis=1, keepdims=True)
+        q = value + adv - adv.sum(axis=1, keepdims=True) / self.num_actions
         return q, (p, obs, h, hv, ha)
 
     def _backward(self, cache, dq: np.ndarray, g: dict[str, np.ndarray]) -> None:
@@ -122,7 +121,7 @@ class DuelingQNetwork:
         n = q.shape[0]
         rows = np.arange(n)
         err = q[rows, actions] - np.asarray(targets, dtype=self.dtype)
-        loss = float(np.mean(err**2))
+        loss = float((err * err).sum() / n)
         dq = np.zeros_like(q)
         dq[rows, actions] = 2.0 * err / n
         grads = self._views(np.empty_like(self.flat) if out is None else out)

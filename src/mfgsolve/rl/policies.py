@@ -33,7 +33,8 @@ def network_q_table(net: DuelingQNetwork, env: EnvironmentSpec) -> np.ndarray:
 class NetworkPolicy:
     """``dp.policy_rows`` of the network's values, on any game: greedy when
     ``eta`` is None, else the softmax at ``eta`` with the prior ``logits``
-    (one (A,) row applied at every state; None for the uniform prior)."""
+    (one (A,) row applied at every state; None for the uniform prior).  Each
+    call runs the network once per distinct code."""
 
     def __init__(self, net: DuelingQNetwork, env, eta: float | None = None, logits=None):
         self.net = net
@@ -42,5 +43,6 @@ class NetworkPolicy:
         self.logits = logits
 
     def action_probs(self, t: int, codes) -> np.ndarray:
+        codes, inverse = np.unique(codes, return_inverse=True)
         q = self.net.forward(self.env.observe_codes(t, codes))
-        return dp.policy_rows(q, self.eta, self.logits)
+        return dp.policy_rows(q, self.eta, self.logits)[inverse]

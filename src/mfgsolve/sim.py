@@ -68,35 +68,28 @@ class FixedActionPolicy:
         return np.tile(self.probs, (len(states), 1))
 
 
-def _particle_flow(env, pi, num_particles: int, rng: np.random.Generator) -> np.ndarray:
-    counts = np.zeros((env.horizon, env.mf_size))
-    codes = env.initial_codes(rng, num_particles)
-    for t in range(env.horizon):
-        g = np.bincount(env.mf_index(codes), minlength=env.mf_size) / num_particles
-        counts[t] = g
-        actions = sample_rows(rng, pi.action_probs(t, codes))
-        codes, _ = env.step_codes(rng, t, codes, actions, g)
-    return counts
-
-
 def simulate_mean_field(env, pi, cfg: ParticleConfig) -> MeanField:
     """Average empirical state flow over independent replicate populations.
 
     Each replicate holds ``num_particles`` particles; within one time step all
     particles see the same empirical measure (synchronous update).  Particles
-    interact only within their replicate.  Rows are rational with denominator
+    interact only within their replicate.  Replicates step in lockstep, one
+    ``action_probs`` call per step covering every particle, each drawing from
+    its own generator as it would alone.  Rows are rational with denominator
     ``num_meanfields * num_particles``.
     """
     if isinstance(pi, Policy):
         check_policy(env, pi)
-    streams = [
-        np.random.default_rng(s)
-        for s in np.random.SeedSequence(cfg.seed).spawn(cfg.num_meanfields)
-    ]
-    total = None
-    for rng in streams:
-        flow = _particle_flow(env, pi, cfg.num_particles, rng)
-        total = flow if total is None else total + flow
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_meanfields)
+    streams = [np.random.default_rng(s) for s in seeds]
+    codes = np.stack([env.initial_codes(rng, cfg.num_particles) for rng in streams])
+    total = np.zeros((env.horizon, env.mf_size))
+    for t in range(env.horizon):
+        probs = pi.action_probs(t, codes.reshape(-1)).reshape(*codes.shape, -1)
+        for r, rng in enumerate(streams):
+            g = np.bincount(env.mf_index(codes[r]), minlength=env.mf_size) / cfg.num_particles
+            total[t] += g
+            codes[r], _ = env.step_codes(rng, t, codes[r], sample_rows(rng, probs[r]), g)
     return MeanField(total / cfg.num_meanfields)
 
 
@@ -119,7 +112,5 @@ def evaluate_policy_stochastic(
         actions = sample_rows(rng, pi.action_probs(t, codes))
         codes, rewards = env.step_codes(rng, t, codes, actions, mu.at(t))
         returns += rewards
-    mean = float(returns.mean())
-    if episodes == 1:
-        return mean, 0.0
-    return mean, float(returns.std(ddof=1) / np.sqrt(episodes))
+    se = 0.0 if episodes == 1 else float(returns.std(ddof=1) / np.sqrt(episodes))
+    return float(returns.mean()), se

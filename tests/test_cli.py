@@ -200,6 +200,11 @@ MISCONFIGURED = {
     # Counts must be integers and reals must not be NaN, checked where the
     # config objects are built.
     "dqn_fractional_epochs": ({**SMALL_RPS_DQN, "dqn": {"epochs": 2.5}}, None, "epochs"),
+    # Exploration rates are probabilities and the discount a factor; 1 is valid.
+    "dqn_epsilon_above_one": (
+        {**SMALL_RPS_DQN, "dqn": {"epsilon_start": 1.5}}, None, "epsilon_start"
+    ),
+    "dqn_discount_above_one": ({**SMALL_RPS_DQN, "dqn": {"discount": 1.5}}, None, "discount"),
     "dqn_learning_rate_nan": (
         {**SMALL_RPS_DQN, "dqn": {"learning_rate": float("nan")}}, None, "learning_rate"
     ),

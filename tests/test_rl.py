@@ -262,6 +262,79 @@ class TestReplayBuffer:
         assert chi2 < stats.chi2.ppf(0.99, df=63)
 
 
+class TestTargetCache:
+    """Each replay slot's target value is computed once per slot content and
+    target network, and equals a fresh target forward."""
+
+    def test_value_kept_until_overwrite_or_sync(self):
+        class Recorder:
+            """A game whose observation is (next code, t + 1) and a target
+            network whose values are that row, recording its next codes."""
+
+            calls = []
+
+            def observe_codes(self, ts, codes):
+                return np.stack([codes, ts], axis=1).astype(np.float64)
+
+            def forward(self, obs):
+                self.calls.append(obs[:, 0].tolist())
+                return obs
+
+        rec, buf = Recorder(), ReplayBuffer(capacity=4)
+        for i in range(4):
+            buf.add(i, i, 0, 0.0, 10 + i)
+        got = buf.target_values(np.array([2, 0, 2]), rec, rec)
+        np.testing.assert_array_equal(got, [12, 10, 12])
+        assert rec.calls == [[10, 12]]  # one forward over the distinct new slots
+        buf.target_values(np.array([0, 2, 0]), rec, rec)
+        assert len(rec.calls) == 1
+        buf.add(4, 4, 0, 0.0, 20)  # the capacity wraps onto slot 0
+        np.testing.assert_array_equal(buf.target_values(np.array([0, 2]), rec, rec), [20, 12])
+        assert rec.calls[1:] == [[20]]
+        buf.data["target"] = np.nan  # what a target sync does
+        buf.target_values(np.array([2, 0]), rec, rec)
+        assert rec.calls[2:] == [[20, 12]]
+
+    def test_cached_values_match_a_fresh_target_forward(self):
+        from mfgsolve.envs import make_taxi
+
+        taxi = make_taxi()
+        rng = np.random.default_rng(8)
+        net = DuelingQNetwork(taxi.obs_dim, taxi.num_actions, hidden_width=32, seed=4)
+        net = net.astype(np.float32)
+        buf = ReplayBuffer(capacity=200)
+        for t, code in zip(rng.integers(taxi.horizon, size=200), taxi.initial_codes(rng, 200)):
+            buf.add(t, 0, 0, 0.0, code)
+        # Filled in batches of assorted sizes, whose BLAS rounding differs.
+        for size in (1, 3, 37, 127, 200):
+            cached = buf.target_values(rng.integers(200, size=size), net, taxi)
+        assert cached.dtype == np.float32
+        obs = taxi.observe_codes(buf.data["t"] + 1, buf.data["next_code"])
+        fresh = net.forward(obs).max(axis=1)
+        # float32 carries about 7 digits, and the dueling sum cancels terms
+        # larger than its result: rtol 1e-5 allows a few ulps of those terms.
+        np.testing.assert_allclose(buf.target_values(np.arange(200), net, taxi), fresh, rtol=1e-5)
+
+    def test_target_network_sees_each_slot_once_per_sync(self, monkeypatch):
+        env = make_rps()
+        mu = dp.induced_mean_field(env, Policy.uniform(env.horizon, 4, 3))
+        hp = DqnHyperparams(epochs=150, batch_size=32, replay_capacity=100,
+                            target_update_every=100, hidden_width=8)
+        rows = {}
+        forward = DuelingQNetwork.forward
+
+        def counting_forward(self, obs):
+            rows[id(self)] = rows.get(id(self), 0) + len(obs)
+            return forward(self, obs)
+
+        monkeypatch.setattr(DuelingQNetwork, "forward", counting_forward)
+        net = dqn_train(env, mu, hp, seed=0)
+        target_rows = sum(n for key, n in rows.items() if key != id(net))
+        added = hp.epochs * env.horizon
+        # Without the cache: one row per sampled transition, 8608 here.
+        assert 0 < target_rows <= added + hp.replay_capacity * (added // hp.target_update_every)
+
+
 class TestHyperparams:
     def test_paper_defaults(self):
         hp = DqnHyperparams()
@@ -280,6 +353,14 @@ class TestHyperparams:
             DqnHyperparams(learning_rate=0.0)
         with pytest.raises(ValueError):
             DqnHyperparams(epsilon_end=2.0)
+
+    @pytest.mark.parametrize(
+        "field", ["discount", "epsilon_start", "epsilon_end", "epsilon_end_fraction"]
+    )
+    def test_probabilities_and_discount_at_most_one(self, field):
+        with pytest.raises(ValueError, match=f"{field} must not exceed"):
+            DqnHyperparams(**{field: 1.5})
+        DqnHyperparams(**{field: 1.0})  # e.g. an undiscounted finite horizon
 
     @pytest.mark.parametrize(
         "field, value",
@@ -528,6 +609,28 @@ class TestNetworkPolicies:
         probs = pol.action_probs(4, codes)
         np.testing.assert_array_equal(probs.argmax(axis=1), want)
         np.testing.assert_array_equal(probs.sum(axis=1), 1.0)
+
+    def test_one_forward_row_per_distinct_code(self, monkeypatch):
+        from mfgsolve.envs import make_taxi
+
+        taxi = make_taxi()
+        net = DuelingQNetwork(taxi.obs_dim, taxi.num_actions, hidden_width=32, seed=2)
+        net = net.astype(np.float32)
+        pol = NetworkPolicy(net, taxi, eta=0.5)
+        codes = np.random.default_rng(5).choice(taxi.initial_codes(np.random.default_rng(6), 9), 60)
+        want = dp.policy_rows(net.forward(taxi.observe_codes(7, codes)), 0.5)
+        rows = []
+        forward = DuelingQNetwork.forward
+        monkeypatch.setattr(DuelingQNetwork, "forward",
+                            lambda self, obs: rows.append(len(obs)) or forward(self, obs))
+        probs = pol.action_probs(7, codes)
+        assert rows == [len(np.unique(codes))] and rows[0] < len(codes)
+        for code in codes:
+            same = probs[codes == code]
+            np.testing.assert_array_equal(same, np.broadcast_to(same[0], same.shape))
+        # Batch sizes round differently in float32; rtol 1e-5 allows a few
+        # ulps of the values, scaled by 1 / eta in the softmax.
+        np.testing.assert_allclose(probs, want, rtol=1e-5, atol=1e-7)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_greedy_rows_break_ties_as_the_table_does(self, dtype):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import random_affine_env, random_policy
 from mfgsolve import dp
-from mfgsolve.core import MeanField, Policy, meanfield_distance
-from mfgsolve.envs import EnvironmentSpec, make_lr, make_sis
+from mfgsolve.core import MeanField, Policy, meanfield_distance, sample_rows
+from mfgsolve.envs import EnvironmentSpec, make_lr, make_sis, make_taxi
 from mfgsolve.errors import ConfigError, DimensionError
 from mfgsolve.rl import DqnHyperparams, dqn_train
 from mfgsolve.sim import (
@@ -31,6 +31,26 @@ class TestSimulateMeanField:
         for k, m in ((1, 7), (3, 20)):
             emp = simulate_mean_field(env, pi, ParticleConfig(k, m, seed=0))
             np.testing.assert_array_equal(emp.per_time, exact.per_time)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_lockstep_replicates_match_a_loop_over_replicates(self, seed):
+        env = make_taxi(horizon=12)
+        pi = FixedActionPolicy(env.num_actions, [0.1, 0.2, 0.3, 0.15, 0.25])
+        cfg = ParticleConfig(3, 40, seed=seed)
+        total = 0.0
+        for ss in np.random.SeedSequence(seed).spawn(cfg.num_meanfields):
+            rng = np.random.default_rng(ss)
+            flow = np.zeros((env.horizon, env.mf_size))
+            codes = env.initial_codes(rng, cfg.num_particles)
+            for t in range(env.horizon):
+                flow[t] = np.bincount(env.mf_index(codes), minlength=env.mf_size)
+                flow[t] /= cfg.num_particles
+                actions = sample_rows(rng, pi.action_probs(t, codes))
+                codes, _ = env.step_codes(rng, t, codes, actions, flow[t])
+            total = total + flow
+        got = simulate_mean_field(env, pi, cfg).per_time
+        want = MeanField(total / cfg.num_meanfields).per_time
+        np.testing.assert_array_equal(got, want)
 
     def test_single_particle_rows_one_hot(self):
         env = make_sis()
