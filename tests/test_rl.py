@@ -331,7 +331,7 @@ class TestTargetCache:
         net = dqn_train(env, mu, hp, seed=0)
         target_rows = sum(n for key, n in rows.items() if key != id(net))
         added = hp.epochs * env.horizon
-        # Without the cache: one row per sampled transition, 8608 here.
+        # One row per draw would be (300 - 31) updates x 32 = 8608 rows.
         assert 0 < target_rows <= added + hp.replay_capacity * (added // hp.target_update_every)
 
 
