@@ -123,26 +123,38 @@ def backward_sweep(
     rewards, kernels = tables.rewards, tables.kernels
     h, smooth = int(hard), eta is not None
     n = len(weights) - smooth  # policy columns
-    w = np.stack(weights, axis=1) if weights else None
     T, m = len(rewards), h + len(weights)
     q = np.empty((T, m) + rewards.shape[1:])
     q[T - 1] = rewards[T - 1]
-    v = np.empty((m, rewards.shape[1]))
-    v_cols = v[:, None, :, None]  # each column an (S, 1) matrix
-    k_rows = kernels[:, None]  # each kernel broadcast over the columns
-    for t in range(T - 2, -1, -1):
-        q_next = q[t + 1]
+    w = np.stack(weights, axis=1) if weights else q[:, :0]
+    # Buffers made once: the next slice's values (each column an (S, 1) matrix),
+    # the weighted rows, their sums, the soft exponent and log, the kernel products.
+    v, kv = np.empty((m, rewards.shape[1])), np.empty(q.shape[1:] + (1,))
+    x, sums = np.empty(w.shape[1:]), np.empty(w.shape[1:3])
+    v_cols, v_pol, v_soft, kv_cols = v[:, None, :, None], v[h:h + n], v[m - smooth:], kv[..., 0]
+    x_soft, sums_pol, sums_soft, shift = x[n:], sums[:n], sums[n:], v[m - smooth:, :, None]
+    z, log_sum = np.empty(x_soft.shape), np.empty(sums_soft.shape)
+    # Per step t = T - 2, ..., 0: q[t]; q[t + 1] whole, weighted and soft;
+    # the weights at t + 1 and their soft row; P[t]; R[t].
+    steps = zip(
+        q[-2::-1], q[:0:-1], q[:0:-1, h:], q[:0:-1, m - smooth:], w[:0:-1], w[:0:-1, n:],
+        kernels[::-1, None], rewards[-2::-1],
+    )
+    for q_t, q_next, q_weighted, q_soft, w_next, w_soft, k_row, r_t in steps:
         if hard or smooth:  # the hard value and the smooth shift; policy rows are replaced
             np.maximum.reduce(q_next, axis=2, out=v)
         if weights:
-            x = w[t + 1] * q_next[h:]
+            np.multiply(w_next, q_weighted, out=x)
             if smooth:
-                np.multiply(w[t + 1, -1], np.exp((q_next[-1] - v[-1, :, None]) / eta), out=x[-1])
-            sums = np.add.reduce(x, axis=2)
-            v[h:h + n] = sums[:n]
+                np.divide(np.subtract(q_soft, shift, out=z), eta, out=z)
+                np.multiply(w_soft, np.exp(z, out=z), out=x_soft)
+            np.add.reduce(x, axis=2, out=sums)
+            v_pol[...] = sums_pol
             if smooth:
-                v[-1] += eta * np.log(sums[-1])
-        np.add(rewards[t], np.matmul(k_rows[t], v_cols)[..., 0], out=q[t])
+                np.multiply(eta, np.log(sums_soft, out=log_sum), out=log_sum)
+                np.add(v_soft, log_sum, out=v_soft)
+        np.matmul(k_row, v_cols, out=kv)
+        np.add(r_t, kv_cols, out=q_t)
     q.setflags(write=False)
     return [q[:, c] for c in range(m)]
 
@@ -216,15 +228,16 @@ def boltzmann_policy(q: np.ndarray, eta: float, prior: Policy) -> Policy:
 
 
 def induced_mean_field(env: EnvironmentSpec, pi: Policy) -> MeanField:
-    """Forward pushforward of the initial distribution under the policy."""
+    """Forward pushforward of the initial distribution under the policy; each
+    step's kernel is built into one buffer and weighted by ``pi[t]`` in place."""
     check_tabular(env)
     check_policy(env, pi)
-    T = env.horizon
-    mu = np.empty((T, env.num_states))
+    mu = np.empty((env.horizon, env.num_states))
     mu[0] = env.initial_dist
-    for t in range(T - 1):
-        flow = pi.per_time_state[t][:, :, None] * env.transition_table(mu[t])
-        mu[t + 1] = np.einsum("s,san->n", mu[t], flow)
+    flow = np.empty(env.transition_base.shape)
+    for w, m, m_next in zip(pi.per_time_state[:, :, :, None], mu, mu[1:]):
+        np.multiply(w, env.transition_table(m, out=flow), out=flow)
+        np.einsum("s,san->n", m, flow, out=m_next)
     return MeanField(mu)
 
 

@@ -100,10 +100,11 @@ class EnvironmentSpec:
     def num_actions(self) -> int:
         return self.reward_base.shape[1]
 
-    def transition_table(self, mu: np.ndarray) -> np.ndarray:
+    def transition_table(self, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Dense kernel ``P[s, a, s']`` at a state distribution ``mu`` (S,),
-        or ``P[i, s, a, s']`` at each row ``mu[i]`` of a stack (n, S)."""
-        return _affine(self.transition_base, self.transition_mu_coef, mu, self.num_states)
+        or ``P[i, s, a, s']`` at each row ``mu[i]`` of a stack (n, S);
+        written into ``out`` and returned, if it is given."""
+        return _affine(self.transition_base, self.transition_mu_coef, mu, self.num_states, out)
 
     def reward_table(self, mu: np.ndarray) -> np.ndarray:
         """Dense rewards ``R[s, a]`` at a state distribution ``mu`` (S,), or
@@ -279,18 +280,20 @@ def _run_blocks(product, size: int, step: int) -> None:
         future.result()
 
 
-def _affine(base, coef, mu, pair_rows: int) -> np.ndarray:
+def _affine(base, coef, mu, pair_rows: int, out=None) -> np.ndarray:
     """``base + coef . mu`` at one distribution ``mu`` (S,), or at each row of
-    a stack ``mu`` (n, S) with the n tables stacked first.
+    a stack ``mu`` (n, S) with the n tables stacked first, written into
+    ``out`` (a C-contiguous array of the table's shape) if it is given.
 
     One distribution takes one product per (s, a) pair, of its (pair_rows, S)
     block of ``coef`` with ``mu`` (a matrix-vector product for a kernel, a
     dot product for a reward): the products ``step_codes`` takes for a few
     pairs, so a step's rows equal the table's bit for bit.  A stack is one
     matrix product against ``coef`` read as a (base.size, S) matrix, so each
-    coefficient is loaded once for the whole stack, and ``base`` is added in
-    place.  Without a coefficient the table is ``base`` itself: read-only,
-    broadcast over a stack.
+    coefficient is loaded once for the whole stack.  Either product is
+    written into the table, and ``base`` is added in place.  Without a
+    coefficient the table is ``base`` itself: read-only, broadcast over a
+    stack, or copied into ``out``.
 
     Above ``PARALLEL_MIN_BYTES`` of coefficients the product runs in
     contiguous blocks, one per CPU the process may use: the (s, a) pairs of
@@ -301,37 +304,30 @@ def _affine(base, coef, mu, pair_rows: int) -> np.ndarray:
     """
     mu = np.asarray(mu)
     if coef is None:
-        return np.broadcast_to(base, mu.shape[:-1] + base.shape)
-    if coef.nbytes > PARALLEL_MIN_BYTES and _table_threads() > 1:
-        return _affine_split(base, coef, mu, pair_rows)
+        if out is None:
+            return np.broadcast_to(base, mu.shape[:-1] + base.shape)
+        np.copyto(out, base)
+        return out
+    table = np.empty(mu.shape[:-1] + base.shape) if out is None else out
+    split = coef.nbytes > PARALLEL_MIN_BYTES and _table_threads() > 1
     if mu.ndim == 1:
-        return base + (coef.reshape(-1, pair_rows, len(mu)) @ mu).reshape(base.shape)
-    out = (mu @ coef.reshape(-1, mu.shape[-1]).T).reshape(mu.shape[:-1] + base.shape)
-    out += base
-    return out
-
-
-def _affine_split(base, coef, mu, pair_rows: int) -> np.ndarray:
-    """``_affine`` with its product computed in blocks by ``_run_blocks``."""
-    if mu.ndim == 1:
-        pairs = coef.reshape(-1, pair_rows, len(mu))
-        out = np.empty(pairs.shape[:2])
-
-        def product(lo, hi):
-            np.matmul(pairs[lo:hi], mu, out=out[lo:hi])
-
-        _run_blocks(product, len(pairs), 1)
+        pairs, rows = coef.reshape(-1, pair_rows, len(mu)), table.reshape(-1, pair_rows)
+        if split:
+            _run_blocks(lambda lo, hi: np.matmul(pairs[lo:hi], mu, out=rows[lo:hi]), len(pairs), 1)
+        else:
+            np.matmul(pairs, mu, out=rows)
     else:
         columns = coef.reshape(-1, mu.shape[-1]).T
-        out = np.empty(mu.shape[:-1] + columns.shape[1:])
-
-        def product(lo, hi):
-            np.matmul(mu, columns[:, lo:hi], out=out[..., lo:hi])
-
-        _run_blocks(product, columns.shape[1], STACK_BLOCK_COLUMNS)
-    out = out.reshape(mu.shape[:-1] + base.shape)
-    out += base
-    return out
+        rows = table.reshape(mu.shape[:-1] + columns.shape[1:])
+        if split:
+            _run_blocks(
+                lambda lo, hi: np.matmul(mu, columns[:, lo:hi], out=rows[..., lo:hi]),
+                columns.shape[1], STACK_BLOCK_COLUMNS,
+            )
+        else:
+            np.matmul(mu, columns, out=rows)
+    table += base
+    return table
 
 
 def load_custom_env(path: str) -> EnvironmentSpec:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import BAD_CUSTOM_GAMES, random_affine_env
 import mfgsolve
-from mfgsolve.core import SIMPLEX_ATOL, sample_rows
+from mfgsolve import dp
+from mfgsolve.core import SIMPLEX_ATOL, MeanField, Policy, sample_rows
 from mfgsolve.envs import (
     EnvironmentSpec,
     load_custom_env,
@@ -469,6 +470,36 @@ class TestSplitTables:
             rewards,
             parent_table(env.reward_base, env.reward_mu_coef, mu, 1)[codes, actions],
         )
+
+    @pytest.mark.parametrize("threads", [None, 2, 3])
+    @pytest.mark.parametrize(
+        "make", [large_kernel_game, make_toy_lr, make_lr, make_rps, make_sis],
+        ids=["large_kernel", "toy_lr", "lr", "rps", "sis"],
+    )
+    def test_forward_pass_equals_the_allocating_loop(self, table_threads, threads, make):
+        # The forward pass builds every kernel into one buffer and weights it
+        # in place; it must equal the loop that allocates both at each step.
+        # None: as many threads as the process has CPUs, so under taskset -c 0
+        # the large game's kernels take the unsplit branch.
+        table_threads(threads)
+        env = make()
+        rng = np.random.default_rng(8)
+        pi = Policy(rng.dirichlet(np.ones(env.num_actions), size=(env.horizon, env.num_states)))
+        p = pi.per_time_state
+        want = np.empty((env.horizon, env.num_states))
+        want[0] = env.initial_dist
+        for t in range(env.horizon - 1):
+            flow = p[t][:, :, None] * env.transition_table(want[t])
+            want[t + 1] = np.einsum("s,san->n", want[t], flow)
+        got = dp.induced_mean_field(env, pi).per_time
+        np.testing.assert_array_equal(got, MeanField(want).per_time)
+        buf = np.empty(env.transition_base.shape)
+        for mu in want:
+            assert env.transition_table(mu, out=buf) is buf
+            np.testing.assert_array_equal(buf, env.transition_table(mu))
+            if env.transition_mu_coef is not None:
+                unsplit = parent_table(env.transition_base, env.transition_mu_coef, mu, env.num_states)
+                np.testing.assert_array_equal(buf, unsplit)
 
     @settings(max_examples=50, deadline=None)
     @given(
