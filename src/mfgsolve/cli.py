@@ -59,29 +59,92 @@ CSV_COLUMNS = (
     "std_error",  # blank where the exploitability is exact
 )
 
-DEFAULTS = {
-    "fp_policy": False,
-    "fp_meanfield": False,
-    "prior": "uniform",
-    "prior_descent": None,
-    "iterations": 100,
-    "convergence_tol": 0.0,
-    "window": 10,
-    "particles": {"num_meanfields": 5, "num_particles": 1000},
-    "dqn": {},
-    "eval_episodes": 500,
-    "taxi_map": None,
-    "workers": 1,
-    "output_dir": "results",
+
+def _expect(ok, problem: str) -> None:
+    if not ok:
+        raise ConfigError(problem)
+
+
+def _is(ok, what: str):
+    """A row's check: ``ok(value)``, else the refusal "<key> must be <what>"."""
+    return lambda key, value, cfg: _expect(ok(value), f"{key} must be {what}, got {value!r}")
+
+
+def _number(low: float, integer=False):
+    return lambda key, value, cfg: check_number(key, value, low, integer=integer)
+
+
+def _entries(key, values, cfg, integer=False) -> None:
+    """A nonempty list of distinct nonnegative numbers."""
+    _expect(values and isinstance(values, list), f"{key} must be a nonempty list")
+    for i, x in enumerate(values):
+        check_number(f"{key}[{i}]", x, 0, integer=integer)
+    _expect(len(set(values)) == len(values), f"{key} must be distinct, got {values}")
+
+
+def _dqn(key, overrides, cfg) -> None:
+    try:
+        DqnHyperparams(**overrides)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"dqn overrides invalid: {exc}") from exc
+
+
+def _prior(key, prior, cfg) -> None:
+    ok = prior == "uniform" or isinstance(prior, str) and prior.startswith("from_file:")
+    _expect(ok, f"prior must be 'uniform' or 'from_file:<path>', got {prior!r}")
+
+
+def _env(key, env, cfg) -> None:
+    known = isinstance(env, str) and (env in BUILTIN_FACTORIES or env.startswith("custom:"))
+    _expect(known or env == "taxi", f"unknown env name: {env!r}")
+    taxi_ok = env != "taxi" or cfg.get("solver") == "boltzmann_dqn"
+    _expect(taxi_ok, "env 'taxi' is only solvable with solver 'boltzmann_dqn'")
+
+
+def _prior_descent(key, pd, cfg) -> None:
+    """null, or phases whose outer * inner iterations fit in the budget ``iterations``."""
+    if pd is not None:
+        keys_ok = isinstance(pd, dict) and set(pd) == {"outer", "inner", "c"}
+        _expect(keys_ok, f"prior_descent must be null or hold outer, inner and c, got {pd!r}")
+        PriorDescentConfig(SolverConfig(pd["inner"], "boltzmann", 1.0), pd["outer"], pd["c"])
+        n, total = cfg.get("iterations"), pd["outer"] * pd["inner"]
+        fits = n == _SCHEMA["iterations"][2] or type(n) is int and n >= total
+        _expect(fits, f"prior_descent runs {total} iterations, more than iterations = {n!r}")
+
+
+_BOOL = _is(lambda v: type(v) is bool, "true or false")
+# One row per config key: its check(key, value, cfg), made on every key present
+# whatever the run; the solvers or the env that read it (None: every run); and
+# its default, unless the key is required.  A key that the run does not read
+# must be absent or at its default (null if required), as in a manifest,
+# which holds the resolved config and is re-run.
+_SCHEMA = {
+    "env": (_env, None),
+    "solver": (_is(SOLVERS.__contains__, f"one of {SOLVERS}"), None),
+    "eta_grid": (_entries, ("boltzmann", "relent", "boltzmann_dqn")),
+    "seeds": (partial(_entries, integer=True), None),
+    "fp_policy": (_BOOL, ("exact", "boltzmann", "relent"), False),
+    "fp_meanfield": (_BOOL, ("exact", "boltzmann", "relent"), False),
+    "prior": (_prior, None, "uniform"),
+    "prior_descent": (_prior_descent, ("boltzmann", "relent"), None),
+    "iterations": (_number(1, True), None, 100),
+    "convergence_tol": (_number(0), None, 0.0),
+    "window": (_number(1, True), None, 10),
+    "particles": (
+        lambda key, value, cfg: ParticleConfig(**value, seed=0),
+        ("boltzmann_dqn",),
+        {"num_meanfields": 5, "num_particles": 1000},
+    ),
+    "dqn": (_dqn, ("boltzmann_dqn",), {}),
+    "eval_episodes": (_number(1, True), ("boltzmann_dqn",), 500),
+    "taxi_map": (_is(lambda v: v is None or isinstance(v, str), "null or a path"), ("taxi",), None),
+    "workers": (_number(1, True), None, 1),
+    "output_dir": (_is(lambda v: isinstance(v, str) and v != "", "a path"), None, "results"),
 }
-REQUIRED = {"env", "solver", "eta_grid", "seeds"}
-PRIOR_DESCENT_KEYS = {"outer", "inner", "c"}
 
 
 def resolve_config(doc: dict) -> dict:
-    cfg = dict(DEFAULTS)
-    cfg.update(doc)
-    return cfg
+    return {**{key: row[2] for key, row in _SCHEMA.items() if len(row) > 2}, **doc}
 
 
 def load_config(path: str) -> dict:
@@ -97,86 +160,39 @@ def load_config(path: str) -> dict:
     return resolve_config(doc)
 
 
-def _check(problems: list[str], what: str, value, low: float, **kw) -> bool:
-    """``errors.check_number``, a refusal appended to ``problems``."""
-    try:
-        check_number(what, value, low, **kw)
-    except ConfigError as exc:
-        problems.append(str(exc))
-        return False
-    return True
-
-
 def _plan(cfg: dict) -> tuple[list[str], dict[tuple, Callable[[], IterationLog]]]:
     """The sweep, checked and built once: ``(problems, cells)``, where
     ``cells`` maps each (eta, seed) to its cell, unrun, all on one game and
     one prior, and is empty unless ``problems`` is."""
-    problems = []
-    for key in sorted(set(cfg) - set(DEFAULTS) - REQUIRED):
-        problems.append(f"unknown config key: {key!r}")
-    env = cfg.get("env")
-    if env is None:
-        problems.append("missing key: env")
-    elif not isinstance(env, str) or not (
-        env in BUILTIN_FACTORIES or env == "taxi" or env.startswith("custom:")
-    ):
-        problems.append(f"unknown env name: {env!r}")
-    solver = cfg.get("solver")
-    if solver not in SOLVERS:
-        problems.append(f"unknown solver: {solver!r} (expected one of {SOLVERS})")
-    eta_grid = cfg.get("eta_grid")
-    if solver != "exact":
-        if not eta_grid or not isinstance(eta_grid, list):
-            problems.append("eta_grid must be a nonempty list unless solver='exact'")
-        else:
-            checks = [_check(problems, f"eta_grid[{i}]", x, 0) for i, x in enumerate(eta_grid)]
-            if all(checks) and len(set(eta_grid)) < len(eta_grid):
-                problems.append(f"eta_grid entries must be distinct, got {eta_grid}")
-    seeds = cfg.get("seeds")
-    if (
-        not seeds
-        or not isinstance(seeds, list)
-        or any(type(s) is not int or s < 0 for s in seeds)
-    ):
-        problems.append("seeds must be a nonempty list of nonnegative integers")
-    elif len(set(seeds)) < len(seeds):
-        problems.append(f"seeds must be distinct, got {seeds}")
-    for key in ("iterations", "workers"):
-        _check(problems, key, cfg.get(key, 1), 1, integer=True)
-    prior = cfg.get("prior", "uniform")
-    if prior != "uniform" and not (isinstance(prior, str) and prior.startswith("from_file:")):
-        problems.append(f"prior must be 'uniform' or 'from_file:<path>', got {prior!r}")
-    pd = cfg.get("prior_descent")
-    if pd is not None:
-        keys = set(pd) if isinstance(pd, dict) else set()
-        for key in sorted(PRIOR_DESCENT_KEYS - keys):
-            problems.append(f"prior_descent missing key: {key}")
-        for key in sorted(keys - PRIOR_DESCENT_KEYS):
-            problems.append(f"unknown prior_descent key: {key!r}")
-    if solver == "boltzmann_dqn":
-        for key in ("fp_policy", "fp_meanfield", "prior_descent"):
-            if cfg.get(key):
-                problems.append(f"{key} is not supported with solver 'boltzmann_dqn'")
-        _check(problems, "eval_episodes", cfg.get("eval_episodes", 1), 1, integer=True)
-    if env == "taxi" and solver != "boltzmann_dqn":
-        problems.append("env 'taxi' is only solvable with solver 'boltzmann_dqn'")
+    problems = [f"unknown config key: {key!r}" for key in sorted(set(cfg) - set(_SCHEMA))]
+    env, solver = cfg.get("env"), cfg.get("solver")
+    for key, (check, readers, *default) in _SCHEMA.items():
+        value = cfg.get(key, *default)
+        # Under an unknown solver every key counts as read: its one problem is reported alone.
+        read = readers is None or env in readers or solver in readers or solver not in SOLVERS
+        if value is None and not default:  # a required key, absent or null
+            problems += [f"missing key: {key}"] if read else []
+            continue
+        try:
+            check(key, value, cfg)
+        except (ConfigError, TypeError, ValueError) as exc:
+            problems.append(str(exc))
+        if not read and value != (default[0] if default else None):
+            problems.append(f"{key} is not read by solver {solver!r} on env {env!r}: leave it out")
     if problems:
         return problems, {}
     try:
         game = _build_env(cfg)
         prior = _load_prior(cfg, game)
-        etas = [None] if solver == "exact" else eta_grid
-        cells = {
-            (eta, seed): _cell(cfg, game, prior, eta, seed) for eta in etas for seed in seeds
-        }
+        etas = [None] if solver == "exact" else cfg["eta_grid"]
+        cells = {(e, s): _cell(cfg, game, prior, e, s) for e in etas for s in cfg["seeds"]}
     except (ConfigError, TypeError, ValueError) as exc:
         return [str(exc)], {}
     return [], cells
 
 
 def validate_config(cfg: dict) -> list[str]:
-    """The problems (empty = ok) of the sweep that ``run`` runs: structural
-    checks, then every cell built, but not run."""
+    """The problems (empty = ok) of ``run``'s sweep: every key checked, every cell built."""
     return _plan(cfg)[0]
 
 
@@ -235,11 +251,8 @@ def _cell(cfg: dict, env, prior, eta: float | None, seed: int) -> Callable[[], I
         window=cfg["window"],
     )
     if solver == "boltzmann_dqn":
-        try:
-            hp = DqnHyperparams(**cfg["dqn"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dqn overrides invalid: {exc}") from exc
         particles = ParticleConfig(**cfg["particles"], seed=seed)
+        hp = DqnHyperparams(**cfg["dqn"])
         return partial(
             boltzmann_dqn_iteration, env, solver_cfg, particles, hp, seed, cfg["eval_episodes"]
         )
@@ -331,13 +344,12 @@ def _env_tag(cfg: dict) -> str:
 
 
 def run(config_path: str, output_dir: str | None = None, workers: int | None = None) -> int:
+    if workers is not None:
+        check_number("--workers", workers, 1, integer=True)
     cfg = load_config(config_path)
     problems, cells = _plan(cfg)
-    if workers is not None:
-        _check(problems, "--workers", workers, 1, integer=True)
     if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
+        print(*(f"config error: {p}" for p in problems), sep="\n", file=sys.stderr)
         return 1
     out = output_dir or os.environ.get("MFGSOLVE_OUTPUT_DIR") or cfg["output_dir"]
     os.makedirs(out, exist_ok=True)
@@ -379,15 +391,10 @@ def run(config_path: str, output_dir: str | None = None, workers: int | None = N
         )
         for eta in dict.fromkeys(eta for eta, _ in results):
             cell_stats = [stats for (e, _), stats in results.items() if e == eta]
+            means = (np.mean([c[s] for c in cell_stats]) for s in ("mean", "min", "max"))
             writer.writerow(
-                [
-                    repr(0.0 if eta is None else float(eta)),
-                    repr(float(np.mean([c["mean"] for c in cell_stats]))),
-                    repr(float(np.mean([c["min"] for c in cell_stats]))),
-                    repr(float(np.mean([c["max"] for c in cell_stats]))),
-                    sum(bool(c["converged"]) for c in cell_stats),
-                    len(cell_stats),
-                ]
+                [repr(0.0 if eta is None else float(eta)), *(repr(float(m)) for m in means)]
+                + [sum(bool(c["converged"]) for c in cell_stats), len(cell_stats)]
             )
     manifest = {
         "version": __version__,
@@ -425,17 +432,10 @@ def main(argv=None) -> int:
             return run(args.config, args.output_dir, args.workers)
         if args.command == "validate":
             problems = validate_config(load_config(args.config))
-            if problems:
-                for p in problems:
-                    print(p)
-                return 1
-            print("ok")
-            return 0
+            print("\n".join(problems) or "ok")
+            return 1 if problems else 0
         if args.command == "list-envs":
-            for name in sorted(BUILTIN_FACTORIES):
-                print(name)
-            print("taxi")
-            print("custom:<path-to-json>")
+            print(*sorted(BUILTIN_FACTORIES), "taxi", "custom:<path-to-json>", sep="\n")
             return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,6 +15,9 @@ from mfgsolve.envs import make_lr
 from mfgsolve.errors import ConfigError
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(REPO, "configs", "*.json"))) + [
+    os.path.join(REPO, "perfbench", "configs", "taxi_bench.json")
+]
 
 
 def write_config(path, **overrides):
@@ -154,7 +157,8 @@ TWO_STATE = {
 
 # Mistakes that a solver, particle or DQN constructor, the prior loader or
 # the key check rejects; both verbs must exit 1 before any cell runs.
-# Value: (overrides, prior file contents or None, fragment of the problem).
+# Value: (overrides, prior file contents or None, fragment of the problem,
+# or a tuple of fragments).
 MISCONFIGURED = {
     "boltzmann_eta_zero": ({"eta_grid": [0.0]}, None, "temperature"),
     "prior_descent_c_below_one": (
@@ -231,15 +235,44 @@ MISCONFIGURED = {
     ),
     # A repeated entry used to run its cells twice and count them twice in
     # the summary; 1 and 1.0 are one temperature.
-    "duplicate_eta": ({"eta_grid": [1, 1.0, 2.0]}, None, "eta_grid entries must be distinct"),
+    "duplicate_eta": ({"eta_grid": [1, 1.0, 2.0]}, None, "eta_grid must be distinct"),
     "duplicate_seed": ({"seeds": [0, 0]}, None, "seeds must be distinct"),
+    # Every key present is checked whatever the solver, and a key that the
+    # run does not read must be absent or hold its default.
+    "exact_unread_eta_grid": (
+        {"env": "lr", "solver": "exact", "eta_grid": ["x", -1], "seeds": [0]},
+        None,
+        ("eta_grid[0]", "eta_grid is not read by solver 'exact'"),
+    ),
+    "boltzmann_unread_dqn_keys": (
+        {"env": "lr", "eval_episodes": 0, "particles": {"bogus": 1}, "dqn": {"nope": 2},
+         "taxi_map": "/nonexistent"},
+        None,
+        ("eval_episodes must be >= 1", "'bogus'", "'nope'", "taxi_map is not read"),
+    ),
+    "dqn_unread_prior_descent": (
+        {**SMALL_RPS_DQN, "prior_descent": PRIOR_DESCENT}, None, "prior_descent is not read"
+    ),
+    # Under prior_descent, iterations is the total budget, and the phases'
+    # outer * inner iterations must fit in it unless it holds its default.
+    "prior_descent_over_budget": (
+        {"prior_descent": PRIOR_DESCENT, "iterations": 9}, None, "runs 10 iterations, more than"
+    ),
+    # "no" used to turn policy averaging on; an int output_dir failed at
+    # run time, and a taxi_map of 1 or true was opened as file descriptor 1.
+    "fp_policy_not_a_bool": ({"fp_policy": "no"}, None, "fp_policy must be true or false"),
+    "fp_meanfield_not_a_bool": ({"fp_meanfield": 1}, None, "fp_meanfield must be true or false"),
+    "output_dir_not_a_path": ({"output_dir": 5}, None, "output_dir must be a path"),
+    "taxi_map_int": ({**SMALL_TAXI, "taxi_map": 1}, None, "taxi_map must be null or a path"),
+    "taxi_map_bool": ({**SMALL_TAXI, "taxi_map": True}, None, "taxi_map must be null or a path"),
 }
 
 
 class TestValidateBuildsEveryCell:
     @pytest.mark.parametrize("case", sorted(MISCONFIGURED))
     def test_mistake_is_a_config_error(self, tmp_path, capsys, case):
-        overrides, prior, fragment = MISCONFIGURED[case]
+        overrides, prior, fragments = MISCONFIGURED[case]
+        fragments = (fragments,) if isinstance(fragments, str) else fragments
         if prior is not None:
             path = tmp_path / "prior.json"
             path.write_text(json.dumps(prior))
@@ -247,9 +280,11 @@ class TestValidateBuildsEveryCell:
         cfg = tmp_path / "cfg.json"
         write_config(cfg, **overrides)
         assert cli.main(["validate", str(cfg)]) == 1
-        assert fragment in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert all(fragment in out for fragment in fragments), out
         assert cli.main(["run", str(cfg)]) == 1
-        assert fragment in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(fragment in err for fragment in fragments), err
         assert not (tmp_path / "results").exists()
 
     def test_run_cell_raises_the_plan_problems(self):
@@ -260,15 +295,30 @@ class TestValidateBuildsEveryCell:
         with pytest.raises(ConfigError, match="distinct.*; iterations"):
             cli.run_cell(cfg, 1.0, 0)
 
-    @pytest.mark.parametrize(
-        "path",
-        sorted(glob.glob(os.path.join(REPO, "configs", "*.json")))
-        + [os.path.join(REPO, "perfbench", "configs", "taxi_bench.json")],
-        ids=os.path.basename,
-    )
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
     def test_shipped_config_validates(self, path, capsys):
         assert cli.main(["validate", path]) == 0
         assert capsys.readouterr().out.strip() == "ok"
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+    def test_resolved_config_validates(self, path, tmp_path, capsys):
+        # A manifest holds the resolved config, every default included, so the
+        # keys that a run does not read are present there at their defaults.
+        with open(path) as f:
+            doc = json.load(f)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"config": cli.resolve_config(doc)}))
+        assert cli.main(["validate", str(manifest)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+
+    def test_readme_names_every_key_and_default(self):
+        # README's table of config keys has one row per schema row, in its
+        # order, with its default ("required" where it has none).
+        with open(os.path.join(REPO, "README.md")) as f:
+            rows = re.findall(r"^\| `(\w+)` \| (required|`[^|]*`) \|", f.read(), re.M)
+        assert [key for key, _ in rows] == list(cli._SCHEMA)
+        defaults = {key: json.loads(d.strip("`")) for key, d in rows if d != "required"}
+        assert defaults == cli.resolve_config({})
 
 
 class TestListEnvs:
@@ -355,6 +405,8 @@ class TestRun:
         write_config(cfg, solver="exact", eta_grid=None, seeds=[0], iterations=10)
         assert cli.main(["run", str(cfg)]) == 0
         assert (tmp_path / "results" / "toy_lr_exact_eta0_seed0.csv").exists()
+        # Its manifest stores eta_grid as null, which exact accepts.
+        assert cli.main(["validate", str(tmp_path / "results" / "manifest.json")]) == 0
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
