@@ -136,7 +136,7 @@ _SCHEMA = {
         {"num_meanfields": 5, "num_particles": 1000},
     ),
     "dqn": (_dqn, ("boltzmann_dqn",), {}),
-    "eval_episodes": (_number(1, True), ("boltzmann_dqn",), 500),
+    "eval_episodes": (_number(1, True), ("taxi",), 500),
     "taxi_map": (_is(lambda v: v is None or isinstance(v, str), "null or a path"), ("taxi",), None),
     "workers": (_number(1, True), None, 1),
     "output_dir": (_is(lambda v: isinstance(v, str) and v != "", "a path"), None, "results"),
@@ -289,6 +289,28 @@ def _write_cell_csv(path: str, log: IterationLog) -> None:
             )
 
 
+def _write_summary(path: str, results: dict[tuple, dict]) -> None:
+    """One row per temperature: the cells' trailing statistics averaged over
+    seeds, then the across-seed standard error of the trailing mean (blank
+    for one seed)."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(
+            ["eta", "trailing_mean", "trailing_min", "trailing_max", "converged_runs", "runs",
+             "trailing_mean_std_error"]
+        )
+        for eta in dict.fromkeys(eta for eta, _ in results):
+            cell_stats = [stats for (e, _), stats in results.items() if e == eta]
+            means = (np.mean([c[s] for c in cell_stats]) for s in ("mean", "min", "max"))
+            runs = len(cell_stats)
+            spread = np.std([c["mean"] for c in cell_stats], ddof=1) if runs > 1 else None
+            writer.writerow(
+                [repr(0.0 if eta is None else float(eta)), *(repr(float(m)) for m in means)]
+                + [sum(bool(c["converged"]) for c in cell_stats), runs]
+                + ["" if spread is None else repr(float(spread / np.sqrt(runs)))]
+            )
+
+
 def _run_cell(cell: Callable[[], IterationLog]) -> tuple[dict, IterationLog]:
     log = cell()
     stats = log.trailing_stats()
@@ -384,18 +406,7 @@ def run(config_path: str, output_dir: str | None = None, workers: int | None = N
             stats["csv"] = name
             results[(eta, seed)] = stats
 
-    with open(os.path.join(out, "summary.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["eta", "trailing_mean", "trailing_min", "trailing_max", "converged_runs", "runs"]
-        )
-        for eta in dict.fromkeys(eta for eta, _ in results):
-            cell_stats = [stats for (e, _), stats in results.items() if e == eta]
-            means = (np.mean([c[s] for c in cell_stats]) for s in ("mean", "min", "max"))
-            writer.writerow(
-                [repr(0.0 if eta is None else float(eta)), *(repr(float(m)) for m in means)]
-                + [sum(bool(c["converged"]) for c in cell_stats), len(cell_stats)]
-            )
+    _write_summary(os.path.join(out, "summary.csv"), results)
     manifest = {
         "version": __version__,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),

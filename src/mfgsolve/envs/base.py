@@ -104,12 +104,12 @@ class EnvironmentSpec:
         """Dense kernel ``P[s, a, s']`` at a state distribution ``mu`` (S,),
         or ``P[i, s, a, s']`` at each row ``mu[i]`` of a stack (n, S);
         written into ``out`` and returned, if it is given."""
-        return _affine(self.transition_base, self.transition_mu_coef, mu, self.num_states, out)
+        return _affine(self.transition_base, self.transition_mu_coef, mu, out)
 
     def reward_table(self, mu: np.ndarray) -> np.ndarray:
         """Dense rewards ``R[s, a]`` at a state distribution ``mu`` (S,), or
         ``R[i, s, a]`` at each row ``mu[i]`` of a stack (n, S)."""
-        return _affine(self.reward_base, self.reward_mu_coef, mu, 1)
+        return _affine(self.reward_base, self.reward_mu_coef, mu)
 
     # Sampling interface, shared with games too large to tabulate (taxi):
     # a state is an integer code, here the state index itself.
@@ -141,31 +141,10 @@ class EnvironmentSpec:
         mu_t: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """One transition of n agents at the state distribution ``mu_t``:
-        next states drawn from the agents' kernel rows (one uniform per
-        agent) and their rewards.  Rows are built once per distinct
-        (state, action) pair, and equal the same rows of
-        ``transition_table(mu_t)`` and ``reward_table(mu_t)``.
-
-        Building a pair's row copies its (S, S) coefficient block first,
-        about three times the memory traffic of the full table's in-place
-        matrix-vector product.  So the rows are built alone while the
-        distinct pairs are fewer than a third of the S * A pairs, and are
-        read off the full tables otherwise: a step never costs more than
-        one table build."""
-        flat = codes * self.num_actions + actions
-        num_pairs = self.num_states * self.num_actions
-        if 3 * np.count_nonzero(np.bincount(flat, minlength=num_pairs)) < num_pairs:
-            pairs, inv = np.unique(flat, return_inverse=True)
-            s, a = np.divmod(pairs, self.num_actions)
-
-            def at_pairs(base, coef, pair_rows):
-                return _affine(base[s, a], None if coef is None else coef[s, a], mu_t, pair_rows)
-
-            rows = at_pairs(self.transition_base, self.transition_mu_coef, self.num_states)[inv]
-            rewards = at_pairs(self.reward_base, self.reward_mu_coef, 1)[inv]
-        else:
-            rows = self.transition_table(mu_t)[codes, actions]
-            rewards = self.reward_table(mu_t)[codes, actions]
+        next states drawn from the agents' rows of ``transition_table(mu_t)``
+        (one uniform per agent) and their rows of ``reward_table(mu_t)``."""
+        rows = self.transition_table(mu_t)[codes, actions]
+        rewards = self.reward_table(mu_t)[codes, actions]
         return sample_rows(rng, rows), rewards
 
     def observe_codes(self, t, codes: np.ndarray) -> np.ndarray:
@@ -280,27 +259,26 @@ def _run_blocks(product, size: int, step: int) -> None:
         future.result()
 
 
-def _affine(base, coef, mu, pair_rows: int, out=None) -> np.ndarray:
+def _affine(base, coef, mu, out=None) -> np.ndarray:
     """``base + coef . mu`` at one distribution ``mu`` (S,), or at each row of
     a stack ``mu`` (n, S) with the n tables stacked first, written into
     ``out`` (a C-contiguous array of the table's shape) if it is given.
 
-    One distribution takes one product per (s, a) pair, of its (pair_rows, S)
-    block of ``coef`` with ``mu`` (a matrix-vector product for a kernel, a
-    dot product for a reward): the products ``step_codes`` takes for a few
-    pairs, so a step's rows equal the table's bit for bit.  A stack is one
-    matrix product against ``coef`` read as a (base.size, S) matrix, so each
-    coefficient is loaded once for the whole stack.  Either product is
-    written into the table, and ``base`` is added in place.  Without a
-    coefficient the table is ``base`` itself: read-only, broadcast over a
-    stack, or copied into ``out``.
+    One distribution takes one product per (s, a) pair, of its block of
+    ``coef`` with ``mu``: an (S, S) block and a matrix-vector product for a
+    kernel, a (1, S) block and a dot product for a reward (the block has
+    ``base[0, 0].size`` rows).  A stack is one matrix product against
+    ``coef`` read as a (base.size, S) matrix, so each coefficient is loaded
+    once for the whole stack.  Either product is written into the table,
+    and ``base`` is added in place.  Without a coefficient the table is
+    ``base`` itself: read-only, broadcast over a stack, or copied into
+    ``out``.
 
     Above ``PARALLEL_MIN_BYTES`` of coefficients the product runs in
     contiguous blocks, one per CPU the process may use: the (s, a) pairs of
     one distribution, or the columns of a stack's matrix product.  Each block
     is the product the whole build makes for its rows, so the table is the
-    same bit for bit (the stack's blocks keep to ``STACK_BLOCK_COLUMNS``),
-    and so are ``step_codes`` rows taken from a split build.
+    same bit for bit (the stack's blocks keep to ``STACK_BLOCK_COLUMNS``).
     """
     mu = np.asarray(mu)
     if coef is None:
@@ -311,6 +289,7 @@ def _affine(base, coef, mu, pair_rows: int, out=None) -> np.ndarray:
     table = np.empty(mu.shape[:-1] + base.shape) if out is None else out
     split = coef.nbytes > PARALLEL_MIN_BYTES and _table_threads() > 1
     if mu.ndim == 1:
+        pair_rows = base[0, 0].size
         pairs, rows = coef.reshape(-1, pair_rows, len(mu)), table.reshape(-1, pair_rows)
         if split:
             _run_blocks(lambda lo, hi: np.matmul(pairs[lo:hi], mu, out=rows[lo:hi]), len(pairs), 1)
@@ -335,7 +314,8 @@ def load_custom_env(path: str) -> EnvironmentSpec:
 
     Expected keys: ``name``, ``horizon``, ``num_states``, ``num_actions``,
     ``initial_dist``, ``reward: {base, mu_coef?}``, ``transition: {base,
-    mu_coef?}`` and optional ``state_labels`` / ``action_labels``.
+    mu_coef?}`` and optional ``state_labels`` / ``action_labels``; any other
+    key, such as a misspelled ``mu_coef``, is refused.
     """
     try:
         with open(path) as f:
@@ -345,6 +325,13 @@ def load_custom_env(path: str) -> EnvironmentSpec:
     try:
         reward = doc["reward"]
         transition = doc["transition"]
+        unknown = [key for key in doc if key not in (
+            "name", "horizon", "num_states", "num_actions", "initial_dist", "reward",
+            "transition", "state_labels", "action_labels")]
+        unknown += [f"{part}.{key}" for part in ("reward", "transition")
+                    for key in doc[part] if key not in ("base", "mu_coef")]
+        if unknown:
+            raise ValueError(f"unknown keys: {', '.join(unknown)}")
         declared = (int(doc["num_states"]), int(doc["num_actions"]))
         env = EnvironmentSpec(
             name=doc.get("name", "custom"),

@@ -146,3 +146,22 @@ for _name, _horizon in (("fractional_horizon", 2.7), ("bool_horizon", True)):
         "reward": {"base": [[0.0], [0.0]]},
         "transition": {"base": [[[1.0, 0.0]], [[0.0, 1.0]]]},
     }
+# A misspelled key used to be dropped: the first game loaded with a constant
+# kernel, the second with its top level's typo ignored.
+_TWO_STATES = {
+    "name": "two_states",
+    "horizon": 2,
+    "num_states": 2,
+    "num_actions": 1,
+    "initial_dist": [1.0, 0.0],
+    "reward": {"base": [[0.0], [0.0]]},
+    "transition": {"base": [[[0.5, 0.5]], [[0.0, 1.0]]]},
+}
+BAD_CUSTOM_GAMES["misspelled_mu_coef"] = {
+    **_TWO_STATES,
+    "transition": {
+        **_TWO_STATES["transition"],
+        "mu_coeff": [[[[0.1, 0.0], [-0.1, 0.0]]], [[[0.0, 0.0], [0.0, 0.0]]]],
+    },
+}
+BAD_CUSTOM_GAMES["unknown_top_level_key"] = {**_TWO_STATES, "horizn": 3}

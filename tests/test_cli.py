@@ -250,6 +250,10 @@ MISCONFIGURED = {
         None,
         ("eval_episodes must be >= 1", "'bogus'", "'nope'", "taxi_map is not read"),
     ),
+    # A tabular learned run's exploitability is exact: it reads no rollouts.
+    "dqn_unread_eval_episodes": (
+        {**SMALL_RPS_DQN, "eval_episodes": 2000}, None, "eval_episodes is not read"
+    ),
     "dqn_unread_prior_descent": (
         {**SMALL_RPS_DQN, "prior_descent": PRIOR_DESCENT}, None, "prior_descent is not read"
     ),
@@ -348,9 +352,26 @@ class TestRun:
         summary = read_csv(out / "summary.csv")
         assert summary[0][0] == "eta"
         assert len(summary) == 3  # header + two temperatures
+        # A tabular cell does not depend on its seed: no spread across seeds.
+        assert [row[6] for row in summary[1:]] == ["0.0", "0.0"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["env"] == "toy_lr"
         assert manifest["failures"] == []
+
+    def test_summary_standard_error_across_seeds(self, tmp_path):
+        # Trailing means 1, 2 and 4 have the sample standard deviation
+        # sqrt(7/3), so a standard error of sqrt(7/9); one seed has none.
+        def stats(mean):
+            return {"mean": mean, "min": mean - 1.0, "max": mean + 1.0, "converged": True}
+
+        results = {(0.5, 0): stats(1.0), (0.5, 1): stats(2.0), (0.5, 2): stats(4.0),
+                   (1.0, 0): stats(3.0)}
+        cli._write_summary(str(tmp_path / "summary.csv"), results)
+        header, *rows = read_csv(tmp_path / "summary.csv")
+        assert header[6:] == ["trailing_mean_std_error"]
+        assert rows[0][:6] == ["0.5", repr(7 / 3), repr(4 / 3), repr(10 / 3), "3", "3"]
+        assert float(rows[0][6]) == pytest.approx(np.sqrt(7 / 9), rel=1e-15)
+        assert rows[1] == ["1.0", "3.0", "2.0", "4.0", "1", "1", ""]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_manifest_records_the_environment(self, tmp_path, workers):

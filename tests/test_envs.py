@@ -293,19 +293,34 @@ class TestAffineTables:
         num_states=st.integers(1, 12),
         num_actions=st.integers(1, 4),
         num_agents=st.integers(1, 100),
+        mu_reward=st.booleans(),
+        mu_transition=st.booleans(),
     )
-    def test_step_rows_match_the_tables(self, seed, num_states, num_actions, num_agents):
-        # Few agents take the per-pair rows, many the full tables: both draw
-        # from the same rows of transition_table / reward_table, bit for bit.
+    def test_step_rows_match_the_tables(
+        self, seed, num_states, num_actions, num_agents, mu_reward, mu_transition
+    ):
+        # A step draws from the agents' rows of transition_table /
+        # reward_table, bit for bit, constant kernels and mu-free rewards too.
         rng = np.random.default_rng(seed)
-        env = random_affine_env(rng, 2, num_states, num_actions)
-        mu = rng.dirichlet(np.ones(num_states))
-        codes = rng.integers(num_states, size=num_agents)
-        actions = rng.integers(num_actions, size=num_agents)
-        nxt, rewards = env.step_codes(np.random.default_rng(seed), 0, codes, actions, mu)
-        want = sample_rows(np.random.default_rng(seed), env.transition_table(mu)[codes, actions])
-        np.testing.assert_array_equal(nxt, want)
-        np.testing.assert_array_equal(rewards, env.reward_table(mu)[codes, actions])
+        env = random_affine_env(rng, 2, num_states, num_actions, mu_reward, mu_transition)
+        assert_step_rows_match_the_tables(env, rng, seed, num_agents)
+
+    @pytest.mark.parametrize("num_agents", [1, 2, 3])
+    @pytest.mark.parametrize("make", [make_lr, make_toy_lr, make_rps, make_sis])
+    def test_few_agents_step_on_the_table_rows(self, make, num_agents):
+        # A DQN trainer steps one agent: the rows come off the full tables.
+        rng = np.random.default_rng(num_agents)
+        assert_step_rows_match_the_tables(make(), rng, num_agents, num_agents)
+
+
+def assert_step_rows_match_the_tables(env, rng, seed, num_agents):
+    mu = rng.dirichlet(np.ones(env.num_states))
+    codes = rng.integers(env.num_states, size=num_agents)
+    actions = rng.integers(env.num_actions, size=num_agents)
+    nxt, rewards = env.step_codes(np.random.default_rng(seed), 0, codes, actions, mu)
+    want = sample_rows(np.random.default_rng(seed), env.transition_table(mu)[codes, actions])
+    np.testing.assert_array_equal(nxt, want)
+    np.testing.assert_array_equal(rewards, env.reward_table(mu)[codes, actions])
 
 
 class TestCustomEnv:
@@ -347,6 +362,16 @@ class TestCustomEnv:
         path = tmp_path / "game.json"
         path.write_text(json.dumps(BAD_CUSTOM_GAMES[game]))
         with pytest.raises(ConfigError):
+            load_custom_env(str(path))
+
+    @pytest.mark.parametrize(
+        "game, key",
+        [("misspelled_mu_coef", "transition.mu_coeff"), ("unknown_top_level_key", "horizn")],
+    )
+    def test_unknown_key_is_named(self, tmp_path, game, key):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(BAD_CUSTOM_GAMES[game]))
+        with pytest.raises(ConfigError, match=f"unknown keys: {key}$"):
             load_custom_env(str(path))
 
     @pytest.mark.parametrize("horizon", [0, 2.5, True, np.float64(2.0)])
@@ -453,15 +478,16 @@ class TestSplitTables:
 
     @pytest.mark.parametrize("threads", [None, 2, 4])
     def test_large_step_rows_equal_the_unsplit_products(self, table_threads, threads):
-        # 100 distinct pairs of the 320 take the per-pair path, and their
-        # (100, 80, 80) coefficient rows pass the gate too.
+        # 200 agents on 100 distinct pairs of the 320 take their rows off a
+        # full build split across threads (16 MB of kernel coefficients):
+        # they are the rows of the unsplit products.
         table_threads(threads)
         rng = np.random.default_rng(5)
         env = random_affine_env(rng, 2, 80, 4)
         mu = rng.dirichlet(np.ones(env.num_states))
         flat = rng.choice(env.num_states * env.num_actions, size=100, replace=False)
         codes, actions = np.divmod(np.repeat(flat, 2), env.num_actions)
-        assert env.transition_mu_coef[codes, actions].nbytes / 2 > base.PARALLEL_MIN_BYTES
+        assert env.transition_mu_coef.nbytes > base.PARALLEL_MIN_BYTES
         nxt, rewards = env.step_codes(np.random.default_rng(6), 0, codes, actions, mu)
         kernel = parent_table(env.transition_base, env.transition_mu_coef, mu, env.num_states)
         rows = kernel[codes, actions]
